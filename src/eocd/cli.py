@@ -3,7 +3,8 @@
 Subcommands: generate, solve, verify, recognize-empty-pd, tree
 (decompose / replay / random), reduce, report.  Exit codes: 0 the
 question was decided true / the artifact verified, 1 decided false or no
-certificate, 2 usage or input error.
+certificate, 2 usage or input error, 3 internal error (a fault in eocd,
+never a verdict).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from . import claims
 from .families import complete_bipartite, cycle, hypercube, path
@@ -362,6 +364,11 @@ def main(argv=None) -> int:
             OpPreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # noqa: BLE001 - a fault must not read as "decided false"
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {type(exc).__name__}: {exc} "
+              f"({os.path.basename(where.filename)}:{where.lineno})", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

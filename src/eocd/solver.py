@@ -1,10 +1,20 @@
 """Exact search for ECD / EOD sets and EOCD certificates.
 
 ECD sets (perfect codes) are exact covers of the vertex set by closed
-neighborhoods; EOD sets are exact covers by open neighborhoods.  The
-search is a backtracking exact-cover solver over neighborhood bitmasks,
-branching on the uncovered vertex with the fewest remaining covering
-candidates (ties by smallest vertex id), so results are deterministic.
+neighborhoods; EOD sets are exact covers by open neighborhoods.  Every
+search runs through one exact-cover core, `_covers`: Algorithm X after
+Knuth's "Dancing Links" (arXiv cs/0011047), iterative with its own frame
+stack, so search depth is not bounded by Python's recursion limit.  It
+keeps a live-row count per column, branches on the uncovered column with
+the fewest live rows (ties by smallest id) and tries rows in index
+order, so results are deterministic.
+
+`find_eod` and `find_ecd` cover the vertices by open or closed
+neighborhoods.  The constrained modes of `find_eocd` search D and P
+jointly, one connected component at a time: each vertex has D-only,
+P-only and D&P rows that share a secondary "center" column, and a mode
+drops the rows it forbids.  Deciding EOCD is NP-complete, so every mode
+stays exponential in the worst case.
 
 Domination numbers gamma and gamma_t are computed exactly at desk scale
 by iterative deepening below a greedy upper bound.
@@ -16,7 +26,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Graph, VertexSet, induced_subgraph
+from .graph import Graph, VertexSet, connected_components, induced_subgraph
 
 
 class SearchMode(enum.Enum):
@@ -65,58 +75,122 @@ def is_eod_set(g: Graph, d) -> bool:
     return _is_exact_cover(g.n, open_masks(g), d)
 
 
+def _covers(n_primary: int, n_cols: int, rows) -> Iterator[list[int]]:
+    """Exact covers of columns 0..n_primary-1 by `rows`, as row-index lists.
+
+    Each row is a sequence of column ids below `n_cols`.  Primary columns
+    (ids below n_primary) must be covered exactly once; the others are
+    secondary and may be covered at most once.  Algorithm X with a frame
+    stack instead of recursion: every column keeps its count of live rows,
+    and the live primary columns form a doubly linked list in id order.
+    Each node branches on the live primary column with the fewest live
+    rows (ties to the smallest id; the scan stops at a count of 0 or 1)
+    and tries its live rows in index order, so the covers come out in a
+    fixed order.
+    """
+    col_rows: list[list[int]] = [[] for _ in range(n_cols)]
+    for r, cols in enumerate(rows):
+        for c in cols:
+            col_rows[c].append(r)
+    count = [len(rs) for rs in col_rows]
+    head = n_primary
+    nxt = [*range(1, n_primary + 1), 0]
+    prv = [n_primary, *range(n_primary)]
+    live = [True] * len(rows)
+    killed: list[int] = []   # rows made dead by the current picks, in order
+    marks: list[int] = []    # len(killed) before each pick
+    chosen: list[int] = []   # the row picked in each frame
+    stack: list[list[int]] = []  # frames: [column, next index into col_rows[column]]
+    descend = True
+    while True:
+        if descend:
+            c = nxt[head]
+            if c != head:
+                best, fewest = c, count[c]
+                if fewest > 1:
+                    c = nxt[c]
+                    while c != head:
+                        k = count[c]
+                        if k < fewest:
+                            best, fewest = c, k
+                            if k < 2:
+                                break
+                        c = nxt[c]
+                if fewest:
+                    stack.append([best, 0])
+            else:
+                yield list(chosen)
+        if not stack:
+            return
+        frame = stack[-1]
+        if len(chosen) == len(stack):   # take back this frame's last pick
+            r = chosen.pop()
+            mark = marks.pop()
+            while len(killed) > mark:
+                r2 = killed.pop()
+                live[r2] = True
+                for c2 in rows[r2]:
+                    count[c2] += 1
+            for c2 in reversed(rows[r]):
+                if c2 < n_primary:
+                    nxt[prv[c2]] = c2
+                    prv[nxt[c2]] = c2
+        c, i = frame
+        rs = col_rows[c]
+        end = len(rs)
+        while i < end and not live[rs[i]]:
+            i += 1
+        if i == end:
+            stack.pop()
+            descend = False
+            continue
+        r = rs[i]
+        frame[1] = i + 1
+        marks.append(len(killed))
+        chosen.append(r)
+        for c2 in rows[r]:
+            if c2 < n_primary:
+                a, b = prv[c2], nxt[c2]
+                nxt[a] = b
+                prv[b] = a
+            for r2 in col_rows[c2]:
+                if live[r2]:
+                    live[r2] = False
+                    killed.append(r2)
+                    for c3 in rows[r2]:
+                        count[c3] -= 1
+        descend = True
+
+
 def exact_covers(n: int, masks: dict[int, int]) -> Iterator[frozenset]:
     """All exact covers of {0..n-1} by the given candidate masks.
 
     Candidates are keyed by their center vertex; a solution is the set of
     chosen centers.  Empty candidate masks never participate.
     """
-    full = (1 << n) - 1
-    cand = {c: m for c, m in sorted(masks.items()) if m}
-    cover_by: list[list[int]] = [[] for _ in range(n)]
-    for c, m in cand.items():
-        mm = m
+    centers = [c for c in sorted(masks) if masks[c]]
+    rows = []
+    for c in centers:
+        bits, mm = [], masks[c]
         while mm:
             b = mm & -mm
-            cover_by[b.bit_length() - 1].append(c)
+            bits.append(b.bit_length() - 1)
             mm ^= b
-
-    def rec(covered: int, chosen: list[int]) -> Iterator[frozenset]:
-        if covered == full:
-            yield frozenset(chosen)
-            return
-        best = None
-        mm = ~covered & full
-        while mm:
-            b = mm & -mm
-            v = b.bit_length() - 1
-            mm ^= b
-            options = [c for c in cover_by[v] if not cand[c] & covered]
-            if best is None or len(options) < len(best):
-                best = options
-                if not options:
-                    return
-        for c in best:
-            chosen.append(c)
-            yield from rec(covered | cand[c], chosen)
-            chosen.pop()
-
-    if n == 0:
-        yield frozenset()
-        return
-    yield from rec(0, [])
+        rows.append(bits)
+    for sol in _covers(n, n, rows):
+        yield frozenset(centers[r] for r in sol)
 
 
-def iter_ecd_sets(g: Graph, allowed=None) -> Iterator[VertexSet]:
-    masks = closed_masks(g)
-    keys = range(g.n) if allowed is None else sorted(allowed)
-    yield from exact_covers(g.n, {v: masks[v] for v in keys})
+def iter_ecd_sets(g: Graph) -> Iterator[VertexSet]:
+    rows = [(*g.neighbors(v), v) for v in range(g.n)]
+    for sol in _covers(g.n, g.n, rows):
+        yield frozenset(sol)
 
 
-def iter_eod_sets(g: Graph, allowed=None) -> Iterator[VertexSet]:
-    masks = open_masks(g)
-    keys = range(g.n) if allowed is None else sorted(allowed)
-    yield from exact_covers(g.n, {v: masks[v] for v in keys})
+def iter_eod_sets(g: Graph) -> Iterator[VertexSet]:
+    rows = [g.neighbors(v) for v in range(g.n)]
+    for sol in _covers(g.n, g.n, rows):
+        yield frozenset(sol)
 
 
 def find_ecd(g: Graph) -> VertexSet | None:
@@ -178,11 +252,20 @@ class EocdCertificate:
 def find_eocd(g: Graph, mode: SearchMode = SearchMode.ANY) -> EocdCertificate | None:
     """Search for an EOCD certificate under the given mode.
 
-    In ANY mode D and P are searched independently (EOCD = EOD and ECD).
-    The constrained modes couple the searches: D is enumerated and the
-    P-search is restricted to the allowed centers.  The constrained
-    searches are exponential in the worst case; no polynomial behavior is
-    claimed for EMPTY_INTERSECTION.
+    In ANY mode D and P are independent (EOCD = EOD and ECD), so the
+    first EOD set and the first ECD set are searched separately.  The
+    constrained modes search D and P jointly, one connected component at
+    a time, since G's certificates are the unions of its components'.
+    A component's cover has two primary columns per vertex v, "v covered
+    once by D's open neighborhoods" and "v covered once by P's closed
+    neighborhoods", and up to three rows per vertex: v in D only (covers
+    N(v)), v in P only (covers N[v]), and v in both (covers both).  All
+    of v's rows share a secondary "center v" column, so at most one of
+    them is picked.  EMPTY_INTERSECTION drops the both-row and
+    EMPTY_P_MINUS_D drops the P-only row.  The search is iterative, so
+    its depth is not bounded by Python's recursion limit, but it stays
+    exponential in the worst case; no polynomial behavior is claimed for
+    EMPTY_INTERSECTION.
     """
     if mode is SearchMode.ANY:
         d = find_eod(g)
@@ -192,15 +275,37 @@ def find_eocd(g: Graph, mode: SearchMode = SearchMode.ANY) -> EocdCertificate | 
         if p is None:
             return None
         return EocdCertificate(g.n, d, p)
-    for d in iter_eod_sets(g):
-        if mode is SearchMode.EMPTY_INTERSECTION:
-            allowed = frozenset(range(g.n)) - d
-        else:
-            allowed = d
-        p = next(iter_ecd_sets(g, allowed), None)
-        if p is not None:
-            return EocdCertificate(g.n, d, p)
-    return None
+    disjoint = mode is SearchMode.EMPTY_INTERSECTION
+    d_set: list[int] = []
+    p_set: list[int] = []
+    for comp in connected_components(g):
+        verts = sorted(comp)
+        k = len(verts)
+        local = {v: i for i, v in enumerate(verts)}
+        rows, owner = [], []   # owner: (vertex, in D, in P) of each row
+        for i, v in enumerate(verts):
+            opened = [local[w] for w in g.neighbors(v)]
+            closed = [k + j for j in opened]
+            closed.append(k + i)
+            center = 2 * k + i
+            rows.append(opened + [center])
+            owner.append((v, True, False))
+            if disjoint:
+                rows.append(closed + [center])
+                owner.append((v, False, True))
+            else:
+                rows.append(opened + closed + [center])
+                owner.append((v, True, True))
+        sol = next(_covers(2 * k, 3 * k, rows), None)
+        if sol is None:
+            return None
+        for r in sol:
+            v, to_d, to_p = owner[r]
+            if to_d:
+                d_set.append(v)
+            if to_p:
+                p_set.append(v)
+    return EocdCertificate(g.n, frozenset(d_set), frozenset(p_set))
 
 
 def _greedy_cover_bound(n: int, masks: list[int]) -> list[int] | None:
@@ -291,7 +396,6 @@ class StructureReport:
 
 
 def _components(g: Graph) -> list[list[int]]:
-    from .graph import connected_components
     return [sorted(c) for c in connected_components(g)]
 
 

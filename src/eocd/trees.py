@@ -69,25 +69,57 @@ class TreeOpSequence:
 
     @classmethod
     def parse(cls, text: str) -> "TreeOpSequence":
+        """Read `serialize` output; errors name the offending line number."""
         seq = cls()
-        for raw in text.splitlines():
+        has_base = False
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             tok = line.split()
-            if tok[0] == "K2":
-                fields = dict(t.split("=", 1) for t in tok[1:])
-                a, b = map(int, fields["v"].split(","))
-                seq.base = (a, b)
-                seq.base_p = int(fields["p"])
-                continue
-            if tok[0] not in OP_ARITY or len(tok) != 3:
-                raise OpPreconditionError(f"bad sequence line {line!r}")
-            fields = dict(t.split("=", 1) for t in tok[1:])
-            attach = tuple(map(int, fields["attach"].split(",")))
-            new = tuple(map(int, fields["new"].split(",")))
-            seq.steps.append(TreeOpStep(tok[0], attach, new))
+            try:
+                if tok[0] == "K2":
+                    if has_base or seq.steps:
+                        raise OpPreconditionError("K2 may appear once, before any step")
+                    fields = _fields(tok[1:], ("v", "p"))
+                    base, (base_p,) = _ids(fields, "v", 2), _ids(fields, "p", 1)
+                    if base[0] == base[1] or base_p not in base:
+                        raise OpPreconditionError(
+                            "K2 needs two distinct vertices v=a,b and p=a or p=b")
+                    seq.base, seq.base_p, has_base = base, base_p, True
+                    continue
+                if tok[0] not in OP_ARITY:
+                    raise OpPreconditionError(f"unknown operation {tok[0]!r}")
+                fields = _fields(tok[1:], ("attach", "new"))
+                seq.steps.append(TreeOpStep(tok[0], _ids(fields, "attach"), _ids(fields, "new")))
+            except OpPreconditionError as exc:
+                raise OpPreconditionError(f"line {lineno}: {exc} in {line!r}") from None
         return seq
+
+
+def _fields(tokens: list[str], keys: tuple[str, ...]) -> dict[str, str]:
+    """The `key=value` tokens of a sequence line; each key exactly once."""
+    fields: dict[str, str] = {}
+    for t in tokens:
+        key, eq, value = t.partition("=")
+        if not eq or key not in keys or key in fields:
+            raise OpPreconditionError(f"unexpected field {t!r}")
+        fields[key] = value
+    for key in keys:
+        if key not in fields:
+            raise OpPreconditionError(f"missing field {key}=")
+    return fields
+
+
+def _ids(fields: dict[str, str], key: str, count: int | None = None) -> tuple[int, ...]:
+    try:
+        ids = tuple(map(int, fields[key].split(",")))
+    except ValueError:
+        raise OpPreconditionError(
+            f"{key}= expects comma-separated vertex ids, got {fields[key]!r}") from None
+    if count is not None and len(ids) != count:
+        raise OpPreconditionError(f"{key}= expects {count} vertex id(s), got {len(ids)}")
+    return ids
 
 
 # ---------------------------------------------------------------------------

@@ -140,3 +140,27 @@ def test_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.g"
     bad.write_text("this is not a graph\n")
     assert run(capsys, "solve", str(bad))[0] == 2
+
+
+def test_solve_long_path(tmp_path, capsys):
+    out = tmp_path / "p4000.g"
+    assert run(capsys, "generate", "path", "4000", "-o", str(out))[0] == 0
+    code, text, err = run(capsys, "solve", str(out))
+    assert code == 0, err
+    assert text.startswith("D ") and "\nP " in text
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    import eocd.cli
+
+    def broken(*args):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(eocd.cli, "find_eocd", broken)
+    out = tmp_path / "p4.g"
+    run(capsys, "generate", "path", "4", "-o", str(out))
+    code, text, err = run(capsys, "solve", str(out))
+    assert code == 3
+    assert text == ""
+    assert err.startswith("internal error: RuntimeError: simulated fault")
+    assert err.count("\n") == 1

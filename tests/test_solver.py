@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eocd.families import complete_bipartite, cycle, hypercube, path
 from eocd.graph import Graph
@@ -176,3 +176,85 @@ def test_random_search_modes_agree_on_existence():
             if cert is not None:
                 cert.validate(g)
                 assert find_eocd(g) is not None
+
+
+def _exact_covers_brute(g, closed):
+    """Every vertex subset whose (open or closed) neighborhoods partition V."""
+    found = []
+    for bits in range(1 << g.n):
+        members = [v for v in range(g.n) if bits >> v & 1]
+        hits = [0] * g.n
+        for v in members:
+            for w in g.neighbors(v):
+                hits[w] += 1
+            if closed:
+                hits[v] += 1
+        if all(h == 1 for h in hits):
+            found.append(frozenset(members))
+    return found
+
+
+def _mode_holds(mode, d, p):
+    if mode is SearchMode.EMPTY_INTERSECTION:
+        return not d & p
+    return p <= d
+
+
+@given(small_graphs())
+@settings(max_examples=300, deadline=None)
+@example(Graph(1, []))                                             # lone isolated vertex
+@example(Graph(4, [(0, 1), (2, 3)]))                               # 2 K2: nested only
+@example(Graph(5, [(0, 1), (1, 2), (2, 3)]))                       # P4 plus an isolated vertex
+@example(Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]))       # P4 + P3
+@example(Graph(6, [(0, 1), (1, 2), (2, 3), (4, 5)]))               # P4 + K2
+@example(Graph(7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6)]))       # K_{1,3} + K_{1,2}
+def test_constrained_modes_match_subset_enumeration(g):
+    """A constrained search finds a certificate exactly when some EOD set
+    D and ECD set P from brute-force enumeration obey the mode."""
+    eods = _exact_covers_brute(g, closed=False)
+    ecds = _exact_covers_brute(g, closed=True)
+    for mode in (SearchMode.EMPTY_INTERSECTION, SearchMode.EMPTY_P_MINUS_D):
+        want = any(_mode_holds(mode, d, p) for d in eods for p in ecds)
+        cert = find_eocd(g, mode)
+        assert (cert is not None) == want, (mode, g.n, sorted(g.edges()))
+        if cert is not None:
+            cert.validate(g)
+            assert _mode_holds(mode, cert.d, cert.p)
+
+
+def _spider(legs):
+    """Center 0 with `legs` paths of length 3: 0 - a_i - b_i - x_i."""
+    edges = []
+    for i in range(legs):
+        a, b, x = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        edges += [(0, a), (a, b), (b, x)]
+    return Graph(3 * legs + 1, edges)
+
+
+def test_long_paths_solve_without_recursion_error():
+    for n in (2000, 4000):
+        g = path(n)
+        cert = find_eocd(g)
+        assert cert is not None
+        cert.validate(g)
+
+
+def test_large_spider_tree_is_eocd():
+    legs = 1067
+    g = _spider(legs)
+    assert g.n >= 3200
+    # known certificate: D = {a_1} + every b_i + x_i for i > 1, P = {0} + every x_i
+    d = frozenset([1] + [3 * i + 2 for i in range(legs)] + [3 * i + 3 for i in range(1, legs)])
+    p = frozenset([0] + [3 * i + 3 for i in range(legs)])
+    EocdCertificate(g.n, d, p).validate(g)
+    cert = find_eocd(g)
+    assert cert is not None
+    cert.validate(g)
+
+
+def test_disjoint_c12_copies_have_no_disjoint_certificate():
+    k = 8
+    g = Graph(12 * k, [(12 * i + j, 12 * i + (j + 1) % 12) for i in range(k) for j in range(12)])
+    assert find_eocd(g, SearchMode.EMPTY_INTERSECTION) is None
+    assert find_eocd(g, SearchMode.EMPTY_P_MINUS_D) is None
+    assert find_eocd(g) is not None

@@ -76,6 +76,20 @@ def test_sequence_parse_rejects_garbage():
         TreeOpSequence.parse("O1 attach new=2\n")
 
 
+def test_sequence_parse_rejects_malformed_k2_lines():
+    cases = [
+        ("K2 p=0\n", "line 1", "v="),                          # missing field
+        ("K2 v=0,x p=0\n", "line 1", "0,x"),                   # non-integer id
+        ("O1 attach=0 new=2\nK2 v=0,1 p=0\n", "line 2", "K2"),  # base after a step
+        ("K2 v=0,1 p=0\n\nK2 v=0,1 p=1\n", "line 3", "K2"),    # second base
+        ("K2 v=0,1 p=7\n", "line 1", "p="),                    # p not a base vertex
+    ]
+    for text, where, what in cases:
+        with pytest.raises(OpPreconditionError) as info:
+            TreeOpSequence.parse(text)
+        assert where in str(info.value) and what in str(info.value), text
+
+
 def test_is_eocd_tree_small_cases():
     assert is_eocd_tree(Graph(1, [])) is None
     assert is_eocd_tree(K2) is not None
