@@ -9,7 +9,6 @@ from .graph import (
     connected_components,
     contract_edges,
     dump_edge_list,
-    from_edge_list,
     induced_subgraph,
     is_tree,
     open_neighborhood,

@@ -16,7 +16,7 @@ from itertools import combinations, product
 
 from .families import complete_bipartite, cycle, hypercube, path, predicted_eocd
 from .graph import Graph, is_tree
-from .recognizer import recognize_empty_pd
+from .recognizer import _nested_candidate, recognize_empty_pd
 from .reduction import (
     CnfFormula,
     assignment_from_witness,
@@ -130,7 +130,9 @@ def check_sierpinski() -> ClaimResult:
         if got != want:
             failures.append(f"S_{p}^{n}: solver says {got}, parity rule says {want}")
     for p, n in [(4, 2), (6, 2), (4, 3), (8, 2)]:
-        d = sierpinski_eod_set(p, n)  # internally asserts validity and size
+        d = sierpinski_eod_set(p, n)
+        if not is_eod_set(sierpinski(p, n), d):
+            failures.append(f"S_{p}^{n}: explicit set is not an EOD set")
         if len(d) != p ** (n - 1):
             failures.append(f"S_{p}^{n}: explicit EOD set has size {len(d)}")
     # exact total domination numbers at desk scale
@@ -436,12 +438,17 @@ def _recognizer_corpus(seed: int = 404):
 
 def check_recognizer() -> ClaimResult:
     """recognize_empty_pd agrees with the exponential search on small
-    graphs and stays under a second on a 10^4-vertex star forest."""
+    graphs, its candidate pair has P an ECD set exactly when D is an EOD
+    set, and it stays under a second on a 10^4-vertex star forest."""
     started = time.perf_counter()
     failures = []
     count = 0
     for tag, g in _recognizer_corpus():
         count += 1
+        d, p = _nested_candidate(g)
+        ecd, eod = is_ecd_set(g, p), is_eod_set(g, d)
+        if ecd != eod:
+            failures.append(f"{tag}: candidate P is ECD {ecd} but candidate D is EOD {eod}")
         fast = recognize_empty_pd(g)
         slow = find_eocd(g, SearchMode.EMPTY_P_MINUS_D)
         if (fast is None) != (slow is None):
@@ -456,7 +463,7 @@ def check_recognizer() -> ClaimResult:
                 failures.append(f"{tag}: recognizer witness has P - D != {{}}")
     big = star_forest(2_000)
     t0 = time.perf_counter()
-    cert = recognize_empty_pd(big, _check_equivalence=False)
+    cert = recognize_empty_pd(big)
     big_elapsed = time.perf_counter() - t0
     if cert is None:
         failures.append("star forest not recognized")

@@ -16,7 +16,14 @@ import traceback
 
 from . import claims
 from .families import complete_bipartite, cycle, hypercube, path
-from .graph import Graph, GraphError, dump_edge_list, parse_edge_list
+from .graph import (
+    Graph,
+    GraphError,
+    describe_violation,
+    dump_edge_list,
+    first_violation,
+    parse_edge_list,
+)
 from .recognizer import recognize_empty_pd
 from .reduction import FormulaError, assignment_from_witness, build_reduction, parse_dimacs
 from .sierpinski import sierpinski
@@ -26,8 +33,6 @@ from .solver import (
     find_eocd,
     gamma,
     gamma_t,
-    is_ecd_set,
-    is_eod_set,
 )
 from .trees import (
     DecomposeError,
@@ -172,34 +177,18 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _diagnose(g: Graph, members: frozenset, closed: bool, name: str) -> str:
-    for x in range(g.n):
-        hits = [w for w in g.neighbors(x) if w in members]
-        if closed and x in members:
-            hits.append(x)
-        if len(hits) == 0:
-            return f"vertex {x} is uncovered by {name}"
-        if len(hits) > 1:
-            return (f"vertex {x} is doubly covered by {name} "
-                    f"(via {sorted(hits)[0]} and {sorted(hits)[1]})")
-    return f"{name} is valid"
-
-
 def _cmd_verify(args) -> int:
     g = _load_graph(args, args.graph)
     d = _parse_ids(args.d, g.n, "--d")
     p = _parse_ids(args.p, g.n, "--p")
     ok = True
-    if is_eod_set(g, d):
-        print("D: valid EOD set")
-    else:
-        print(f"D: invalid — {_diagnose(g, d, closed=False, name='D')}")
-        ok = False
-    if is_ecd_set(g, p):
-        print("P: valid ECD set")
-    else:
-        print(f"P: invalid — {_diagnose(g, p, closed=True, name='P')}")
-        ok = False
+    for name, kind, members, closed in (("D", "EOD", d, False), ("P", "ECD", p, True)):
+        bad = first_violation(range(g.n), g.neighbors, members, closed)
+        if bad is None:
+            print(f"{name}: valid {kind} set")
+        else:
+            print(f"{name}: invalid — {describe_violation(*bad, name)}")
+            ok = False
     if ok:
         _print_certificate(args, g, EocdCertificate(g.n, d, p))
     return 0 if ok else 1

@@ -66,18 +66,48 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]],
-                   labels: Mapping[int, str] | None = None) -> Graph:
-    """Build a graph from an edge list, deduplicating parallel edges."""
-    return Graph(n, edges, labels)
-
-
 def open_neighborhood(g: Graph, v: int) -> VertexSet:
     return frozenset(g.neighbors(v))
 
 
 def closed_neighborhood(g: Graph, v: int) -> VertexSet:
     return frozenset(g.neighbors(v)) | {v}
+
+
+def first_violation(vertices, nbrs, members, closed: bool):
+    """The first vertex not covered exactly once, or None.
+
+    Counts, in O(n + m), how often the open (closed=False) or closed
+    neighborhoods of `members` hit each vertex.  `vertices` iterates over
+    the vertices (a range of ids or a label-keyed dict); `nbrs(v)` yields
+    the neighbors of v.  Returns the first vertex, in the order of
+    `vertices`, hit other than once, with the sorted list of the members
+    whose neighborhoods hit it; None if the neighborhoods partition the
+    vertices.  A member that is not a vertex raises GraphError.
+    """
+    members = frozenset(members)
+    hits = dict.fromkeys(vertices, 0)
+    for x in members:
+        if x not in hits:
+            raise GraphError(f"vertex {x!r} is not in the graph")
+        for w in nbrs(x):
+            hits[w] += 1
+        if closed:
+            hits[x] += 1
+    for x, k in hits.items():
+        if k != 1:
+            via = [w for w in nbrs(x) if w in members]
+            if closed and x in members:
+                via.append(x)
+            return x, sorted(via)
+    return None
+
+
+def describe_violation(x, via: list, name: str) -> str:
+    """One line on a `first_violation` result for the set called `name`."""
+    if not via:
+        return f"vertex {x} is uncovered by {name}"
+    return f"vertex {x} is doubly covered by {name} (via {via[0]} and {via[1]})"
 
 
 def bfs_distances(g: Graph, source: int) -> dict[int, int]:
@@ -167,32 +197,44 @@ def dump_edge_list(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format; `#` starts a comment, `L v name` sets a label."""
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line.split())
-    if not rows:
-        raise GraphError("empty edge-list input")
-    header = rows[0]
-    if len(header) != 2:
-        raise GraphError(f"header must be 'n m', got {' '.join(header)!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise GraphError(f"bad header {' '.join(header)!r}") from exc
+    """Parse the edge-list format; `#` starts a comment, `L v name` sets a label.
+
+    Every error names the 1-based line it is about.
+    """
+    lines = text.splitlines()
+    head = n = m = 0   # head: the header's line number, 0 until it is read
     edges = []
     labels = {}
-    for tok in rows[1:]:
-        if tok[0] == "L":
-            if len(tok) != 3:
-                raise GraphError(f"bad label line {' '.join(tok)!r}")
-            labels[int(tok[1])] = tok[2]
-        else:
-            if len(tok) != 2:
-                raise GraphError(f"bad edge line {' '.join(tok)!r}")
-            edges.append((int(tok[0]), int(tok[1])))
+    try:
+        for lineno, raw in enumerate(lines, 1):
+            tok = raw.partition("#")[0].split()
+            if not tok:
+                continue
+            if not head:
+                head = lineno
+                if len(tok) != 2:
+                    raise GraphError("header must be 'n m'")
+                n, m = int(tok[0]), int(tok[1])
+                if n < 0 or m < 0:
+                    raise GraphError("header counts must be >= 0")
+            elif tok[0] == "L":
+                if len(tok) != 3:
+                    raise GraphError("a label line is 'L v name'")
+                v = int(tok[1])
+                if not 0 <= v < n:
+                    raise GraphError(f"label for unknown vertex {v}")
+                labels[v] = tok[2]
+            else:
+                if len(tok) != 2:
+                    raise GraphError("an edge line is 'u v'")
+                u, v = int(tok[0]), int(tok[1])
+                if not (0 <= u < n and 0 <= v < n) or u == v:
+                    raise GraphError(f"edge ({u}, {v}) is a self-loop or leaves 0..{n - 1}")
+                edges.append((u, v))
+    except ValueError as exc:   # GraphError, or int() on a non-integer
+        raise GraphError(f"line {lineno}: {exc} in {' '.join(tok)!r}") from None
+    if not head:
+        raise GraphError(f"line {len(lines) + 1}: input ends before the header 'n m'")
     if len(edges) != m:
-        raise GraphError(f"header promises {m} edges, found {len(edges)}")
+        raise GraphError(f"line {head}: header promises {m} edges, found {len(edges)}")
     return Graph(n, edges, labels)

@@ -1,79 +1,41 @@
-"""Polynomial-time recognition of EOCD graphs with P contained in D.
+"""Linear-time recognition of EOCD graphs with P contained in D.
 
-The procedure: strip K2 components (each yields a trivial certificate),
-reject any remaining component without a degree-1 vertex, take P = all
-support vertices of leaves, D = P plus one chosen leaf per support, and
-accept iff the closed neighborhoods of P partition the vertex set.  The
-partition test checks coverage plus pairwise distance >= 3 between
-P-vertices via bounded BFS, so the whole decision is O(nm).
+A certificate with P inside D is forced: every K2 component carries
+D = both vertices and P = its smaller vertex, and elsewhere P must be the
+set of support vertices of leaves, with D = P plus one leaf per support
+(the smallest).  So the procedure builds that one candidate pair and
+accepts iff its P is an ECD set; by the characterization, P is an ECD set
+exactly when D is an EOD set.  Building the pair and the coverage check
+are both O(n + m).
 """
 
 from __future__ import annotations
 
-from .graph import Graph, connected_components
-from .solver import EocdCertificate, is_ecd_set, is_eod_set
+from .graph import Graph
+from .solver import EocdCertificate, is_ecd_set
 
 
-def recognize_empty_pd(g: Graph, _check_equivalence: bool = True) -> EocdCertificate | None:
-    """Decide whether g is an EOCD graph with empty P-D; return a certificate."""
+def _nested_candidate(g: Graph) -> tuple[set[int], set[int]]:
+    """The only (D, P) pair with P inside D that g can have, unchecked."""
     d: set[int] = set()
     p: set[int] = set()
-    rest: list[int] = []
-    for comp in connected_components(g):
-        members = sorted(comp)
-        if len(members) == 2:  # K2 component: trivial certificate
-            a, b = members
-            d.update((a, b))
-            p.add(a)
-        else:
-            rest.extend(members)
+    for v in range(g.n):   # ascending, so each support takes its smallest leaf
+        if g.degree(v) != 1:
+            continue
+        (s,) = g.neighbors(v)
+        if g.degree(s) == 1:   # v and s form a K2 component
+            if v < s:
+                d.update((v, s))
+                p.add(v)
+        elif s not in p:
+            p.add(s)
+            d.update((s, v))
+    return d, p
 
-    rest_set = set(rest)
-    leaves = [v for v in rest if g.degree(v) == 1]
-    supports = sorted({g.neighbors(v)[0] for v in leaves})
-    if rest and not leaves:
+
+def recognize_empty_pd(g: Graph) -> EocdCertificate | None:
+    """Decide whether g is an EOCD graph with empty P-D; return a certificate."""
+    d, p = _nested_candidate(g)
+    if not is_ecd_set(g, p):
         return None
-    for s in supports:
-        # after K2 stripping a support cannot itself have degree 1
-        assert g.degree(s) > 1, f"support {s} of degree 1 survived K2 stripping"
-        chosen = min(w for w in g.neighbors(s) if g.degree(w) == 1)
-        p.add(s)
-        d.update((s, chosen))
-
-    # closed neighborhoods of the supports must partition the stripped part:
-    # full coverage, and pairwise distance >= 3 (no second P-vertex within
-    # two BFS levels of any P-vertex).
-    ok = True
-    covered: set[int] = set()
-    for s in supports:
-        covered.add(s)
-        covered.update(g.neighbors(s))
-    if covered != rest_set:
-        ok = False
-    if ok:
-        p_in_rest = set(supports)
-        for s in supports:
-            frontier = [s]
-            seen = {s}
-            for _ in range(2):
-                nxt = []
-                for u in frontier:
-                    for w in g.neighbors(u):
-                        if w not in seen:
-                            seen.add(w)
-                            nxt.append(w)
-                frontier = nxt
-            if any(w in p_in_rest for w in seen if w != s):
-                ok = False
-                break
-
-    if _check_equivalence:
-        # the proof's equivalence: P is an ECD set iff D is an EOD set
-        assert is_ecd_set(g, p) == is_eod_set(g, d)
-        assert is_ecd_set(g, p) == ok
-
-    if not ok:
-        return None
-    cert = EocdCertificate(g.n, frozenset(d), frozenset(p))
-    assert not cert.p_only
-    return cert
+    return EocdCertificate(g.n, frozenset(d), frozenset(p))

@@ -69,33 +69,40 @@ class CnfFormula:
 
 def parse_dimacs(text: str) -> CnfFormula:
     """DIMACS CNF subset: `p cnf <vars> <clauses>`, clauses of exactly
-    three nonzero literals terminated by 0."""
-    n_vars = None
-    expected = None
+    three nonzero literals terminated by 0.  Every error names the
+    1-based line it is about."""
+    n_vars = expected = None
+    problem = 0   # line number of the problem line
     clauses = []
-    for raw in text.splitlines():
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        if line.startswith("p"):
-            tok = line.split()
-            if len(tok) != 4 or tok[1] != "cnf":
-                raise FormulaError(f"bad problem line {line!r}")
-            n_vars, expected = int(tok[2]), int(tok[3])
-            continue
-        if n_vars is None:
-            raise FormulaError("clause before the problem line")
-        lits = [int(t) for t in line.split()]
-        if not lits or lits[-1] != 0 or 0 in lits[:-1]:
-            raise FormulaError(f"clause line {line!r} must end with a single 0")
-        lits = lits[:-1]
-        if len(lits) != 3:
-            raise FormulaError(f"clause {lits} does not have exactly 3 literals")
-        clauses.append(tuple((abs(l) - 1, l > 0) for l in lits))
+        try:
+            if line.startswith("p"):
+                tok = line.split()
+                if len(tok) != 4 or tok[1] != "cnf":
+                    raise FormulaError("a problem line is 'p cnf <vars> <clauses>'")
+                n_vars, expected, problem = int(tok[2]), int(tok[3]), lineno
+                if n_vars < 0 or expected < 0:
+                    raise FormulaError("problem line counts must be >= 0")
+                continue
+            if n_vars is None:
+                raise FormulaError("clause before the problem line")
+            lits = [int(t) for t in line.split()]
+            if lits[-1] != 0 or 0 in lits[:-1]:
+                raise FormulaError("a clause line must end with a single 0")
+            clause = tuple((abs(l) - 1, l > 0) for l in lits[:-1])
+            CnfFormula(n_vars, (clause,))   # checks the clause on its own line
+            clauses.append(clause)
+        except ValueError as exc:   # FormulaError, or int() on a non-integer
+            raise FormulaError(f"line {lineno}: {exc} in {line!r}") from None
     if n_vars is None:
-        raise FormulaError("missing problem line")
-    if expected is not None and len(clauses) != expected:
-        raise FormulaError(f"problem line promises {expected} clauses, found {len(clauses)}")
+        raise FormulaError(f"line {len(lines) + 1}: input ends before the problem line")
+    if len(clauses) != expected:
+        raise FormulaError(
+            f"line {problem}: problem line promises {expected} clauses, found {len(clauses)}")
     return CnfFormula(n_vars, tuple(clauses))
 
 
@@ -220,5 +227,6 @@ def assignment_from_witness(f: CnfFormula, g: Graph, d, p) -> tuple[bool, ...]:
             raise InvalidCertificateError(
                 f"gadget {i} is not nice after normalization")
     assignment = tuple(assignment)
-    assert is_one_in_three(f, assignment)
+    if not is_one_in_three(f, assignment):
+        raise RuntimeError(f"extracted assignment {assignment} is not one-in-three")
     return assignment

@@ -26,7 +26,14 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Graph, VertexSet, connected_components, induced_subgraph
+from .graph import (
+    Graph,
+    VertexSet,
+    connected_components,
+    describe_violation,
+    first_violation,
+    induced_subgraph,
+)
 
 
 class SearchMode(enum.Enum):
@@ -55,24 +62,14 @@ def closed_masks(g: Graph) -> list[int]:
     return [m | (1 << v) for v, m in enumerate(open_masks(g))]
 
 
-def _is_exact_cover(n: int, masks: list[int], chosen) -> bool:
-    covered = 0
-    for v in chosen:
-        m = masks[v]
-        if covered & m:
-            return False
-        covered |= m
-    return covered == (1 << n) - 1
-
-
 def is_ecd_set(g: Graph, p) -> bool:
     """True iff the closed neighborhoods of p partition V(G)."""
-    return _is_exact_cover(g.n, closed_masks(g), p)
+    return first_violation(range(g.n), g.neighbors, p, closed=True) is None
 
 
 def is_eod_set(g: Graph, d) -> bool:
     """True iff the open neighborhoods of d partition V(G)."""
-    return _is_exact_cover(g.n, open_masks(g), d)
+    return first_violation(range(g.n), g.neighbors, d, closed=False) is None
 
 
 def _covers(n_primary: int, n_cols: int, rows) -> Iterator[list[int]]:
@@ -232,10 +229,12 @@ class EocdCertificate:
     def validate(self, g: Graph) -> None:
         if g.n != self.n:
             raise InvalidCertificateError(f"certificate is for n={self.n}, graph has n={g.n}")
-        if not is_eod_set(g, self.d):
-            raise InvalidCertificateError(f"D={sorted(self.d)} is not an EOD set")
-        if not is_ecd_set(g, self.p):
-            raise InvalidCertificateError(f"P={sorted(self.p)} is not an ECD set")
+        for name, kind, members, closed in (("D", "EOD", self.d, False),
+                                            ("P", "ECD", self.p, True)):
+            bad = first_violation(range(g.n), g.neighbors, members, closed)
+            if bad is not None:
+                raise InvalidCertificateError(
+                    f"{name} is not an {kind} set: {describe_violation(*bad, name)}")
 
     def to_record(self) -> dict:
         """Machine-readable form with sorted vertex-id arrays."""

@@ -29,12 +29,14 @@ def eod_to_ecd(g: Graph, d) -> tuple[Graph, VertexSet]:
     matching = []
     for v in sorted(d):
         inside = [w for w in g.neighbors(v) if w in d]
-        assert len(inside) == 1, "EOD set must induce a perfect matching"
+        if len(inside) != 1:
+            raise RuntimeError(f"EOD set does not induce a perfect matching at vertex {v}")
         if v < inside[0]:
             matching.append((v, inside[0]))
     contracted, vmap = contract_edges(g, matching)  # triangle-freeness re-checked here
     code = frozenset(vmap[u] for u, _ in matching)
-    assert is_ecd_set(contracted, code)
+    if not is_ecd_set(contracted, code):
+        raise RuntimeError("contraction vertices are not an ECD set of the result")
     return contracted, code
 
 
@@ -67,5 +69,6 @@ def ecd_to_eod(g: Graph, p, plan: SplitPlan | None = None) -> tuple[Graph, Verte
         edges.extend((u, side_b[v]) for u in b)
     out = Graph(g.n + len(p), edges)
     eod = frozenset(p) | frozenset(side_b.values())
-    assert is_eod_set(out, eod)
+    if not is_eod_set(out, eod):
+        raise RuntimeError("split vertices are not an EOD set of the result")
     return out, eod

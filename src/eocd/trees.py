@@ -3,9 +3,9 @@
 Every EOCD tree arises from K2 by a sequence of the local operations
 O1-O5, each of which extends a certified tree (T, D, P) and updates the
 certificate.  This module applies and replays such sequences, recognizes
-EOCD trees by two independent linear leaf-up procedures (one for EOD
-existence, one for ECD existence), and decomposes a certified tree into
-a sequence that replays to the identical labeled tree.
+EOCD trees by one linear leaf-up DP run once for open and once for
+closed neighborhoods, and decomposes a certified tree into a sequence
+that replays to the identical labeled tree.
 
 Internally trees are adjacency dicts over arbitrary integer labels so
 that decomposition can delete vertices without relabeling; the public
@@ -18,7 +18,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import Graph, VertexSet, is_tree
+from .graph import Graph, VertexSet, describe_violation, first_violation, is_tree
 
 OP_ARITY = {"O1": 1, "O2": 3, "O3": 5, "O4": 1, "O5": 1}
 OP_ATTACH = {"O1": 1, "O2": 1, "O3": 1, "O4": 3, "O5": 6}
@@ -126,21 +126,10 @@ def _ids(fields: dict[str, str], key: str, count: int | None = None) -> tuple[in
 # labeled-tree internals
 
 def _check_cert(adj: dict, d: set, p: set, context: str) -> None:
-    for x, nb in adj.items():
-        if sum(1 for w in nb if w in d) != 1:
-            raise OpPreconditionError(
-                f"{context}: vertex {x} is not open-dominated exactly once by D")
-        if (1 if x in p else 0) + sum(1 for w in nb if w in p) != 1:
-            raise OpPreconditionError(
-                f"{context}: vertex {x} is not closed-dominated exactly once by P")
-
-
-def _valid_cert(adj: dict, d: set, p: set) -> bool:
-    try:
-        _check_cert(adj, d, p, "check")
-    except OpPreconditionError:
-        return False
-    return True
+    for name, members, closed in (("D", d, False), ("P", p, True)):
+        bad = first_violation(adj, adj.__getitem__, members, closed)
+        if bad is not None:
+            raise OpPreconditionError(f"{context}: {describe_violation(*bad, name)}")
 
 
 def _require(cond: bool, op: str, clause: str) -> None:
@@ -247,7 +236,7 @@ def replay(seq: TreeOpSequence) -> tuple[Graph, VertexSet, VertexSet]:
 
 
 # ---------------------------------------------------------------------------
-# recognition: two independent leaf-up procedures on trees
+# recognition: one leaf-up DP for open and closed neighborhoods
 
 def _postorder(adj: dict, root) -> tuple[list, dict]:
     parent = {root: None}
@@ -264,105 +253,49 @@ def _postorder(adj: dict, root) -> tuple[list, dict]:
     return order, parent
 
 
-def _tree_ecd_set(adj: dict) -> set | None:
-    """A set whose closed neighborhoods partition the tree, or None.
+def _tree_code(order: list, children: dict, closed: bool) -> set | None:
+    """A set S whose open (closed=False) or closed neighborhoods partition
+    the tree, or None; `order` lists children before parents.
 
-    States per vertex: 0 = in the code, 1 = covered by a child in the
-    code, 2 = still uncovered (the parent must be in the code).
+    The state of x is (s, need): s = x lies in S, need = x's parent lies
+    in S, which then covers x.  Every child of x has need = s, and exactly
+    k = 1 - [closed and s] - need children lie in S, so k must be 0 or 1.
+    feas[x][2 * s + need] says whether the subtree of x admits the state.
     """
-    root = min(adj)
-    order, parent = _postorder(adj, root)
-    children = {x: [w for w in adj[x] if w != parent[x]] for x in adj}
     feas: dict = {}
-    pick: dict = {}  # (v, 1) -> the child placed in state 0
+    pick: dict = {}   # (x, s, need) -> the child in S, for states with k = 1
     for x in order:
         ch = children[x]
-        feas[x, 0] = all(feas[c, 2] for c in ch)
-        feas[x, 2] = all(feas[c, 1] for c in ch)
-        bad = [c for c in ch if not feas[c, 1]]
-        if len(bad) == 0:
-            zero = next((c for c in ch if feas[c, 0]), None)
-        elif len(bad) == 1 and feas[bad[0], 0]:
-            zero = bad[0]
-        else:
-            zero = None
-        feas[x, 1] = zero is not None
-        pick[x, 1] = zero
-    start = next((s for s in (0, 1) if feas[root, s]), None)
+        f = feas[x] = [False] * 4
+        for s in (0, 1):
+            bad = [c for c in ch if not feas[c][s]]   # cannot take (0, s)
+            for need in (0, 1):
+                k = 1 - (closed and s) - need
+                if k == 0:
+                    f[2 * s + need] = not bad
+                elif k == 1:
+                    # one_of: one child in (1, s), all others in (0, s)
+                    if not bad:
+                        one = next((c for c in ch if feas[c][2 + s]), None)
+                    elif len(bad) == 1 and feas[bad[0]][2 + s]:
+                        one = bad[0]
+                    else:
+                        one = None
+                    f[2 * s + need] = one is not None
+                    pick[x, s, need] = one
+    root = order[-1]
+    start = next((s for s in (1, 0) if feas[root][2 * s]), None)
     if start is None:
         return None
     code: set = set()
-    stack = [(root, start)]
+    stack = [(root, start, 0)]
     while stack:
-        x, s = stack.pop()
-        if s == 0:
+        x, s, need = stack.pop()
+        if s:
             code.add(x)
-            stack.extend((c, 2) for c in children[x])
-        elif s == 1:
-            zero = pick[x, 1]
-            stack.append((zero, 0))
-            stack.extend((c, 1) for c in children[x] if c != zero)
-        else:
-            stack.extend((c, 1) for c in children[x])
+        one = pick.get((x, s, need))
+        stack.extend((c, int(c == one), s) for c in children[x])
     return code
-
-
-def _tree_eod_set(adj: dict) -> set | None:
-    """A set whose open neighborhoods partition the tree, or None.
-
-    States per vertex: (in D?, covered by a child in D / needs parent).
-    A vertex in D forces every child to be covered by it (needs-parent
-    states); a vertex outside D forces children to be covered below.
-    """
-    if len(adj) == 1:
-        return None
-    root = min(adj)
-    order, parent = _postorder(adj, root)
-    children = {x: [w for w in adj[x] if w != parent[x]] for x in adj}
-    # states: TT=(in D, child-covered), TF=(in D, needs parent),
-    #         FT=(out, child-covered), FF=(out, needs parent)
-    feas: dict = {}
-    pick: dict = {}
-
-    def one_of(ch, t_state, f_state):
-        # exactly one child in t_state, all others in f_state
-        bad = [c for c in ch if not feas[c, f_state]]
-        if len(bad) == 0:
-            return next((c for c in ch if feas[c, t_state]), None)
-        if len(bad) == 1 and feas[bad[0], t_state]:
-            return bad[0]
-        return None
-
-    for x in order:
-        ch = children[x]
-        feas[x, "TF"] = all(feas[c, "FF"] for c in ch)
-        feas[x, "FF"] = all(feas[c, "FT"] for c in ch)
-        pick[x, "TT"] = one_of(ch, "TF", "FF") if ch else None
-        feas[x, "TT"] = pick[x, "TT"] is not None
-        pick[x, "FT"] = one_of(ch, "TT", "FT") if ch else None
-        feas[x, "FT"] = pick[x, "FT"] is not None
-    start = next((s for s in ("TT", "FT") if feas[root, s]), None)
-    if start is None:
-        return None
-    dset: set = set()
-    stack = [(root, start)]
-    while stack:
-        x, s = stack.pop()
-        if s[0] == "T":
-            dset.add(x)
-        if s == "TT":
-            special = pick[x, "TT"]
-            stack.append((special, "TF"))
-            stack.extend((c, "FF") for c in children[x] if c != special)
-        elif s == "TF":
-            stack.extend((c, "FF") for c in children[x])
-        elif s == "FT":
-            special = pick[x, "FT"]
-            stack.append((special, "TT"))
-            stack.extend((c, "FT") for c in children[x] if c != special)
-        else:
-            stack.extend((c, "FT") for c in children[x])
-    return dset
 
 
 def is_eocd_tree(t: Graph) -> tuple[VertexSet, VertexSet] | None:
@@ -370,10 +303,12 @@ def is_eocd_tree(t: Graph) -> tuple[VertexSet, VertexSet] | None:
     if not is_tree(t):
         raise ValueError("input is not a tree")
     adj = _adj_of(t)
-    d = _tree_eod_set(adj)
+    order, parent = _postorder(adj, 0)
+    children = {x: [w for w in adj[x] if w != parent[x]] for x in adj}
+    d = _tree_code(order, children, closed=False)
     if d is None:
         return None
-    p = _tree_ecd_set(adj)
+    p = _tree_code(order, children, closed=True)
     if p is None:
         return None
     _check_cert(adj, d, p, "is_eocd_tree result")
@@ -595,7 +530,8 @@ def random_eocd_tree(steps: int, seed: int) -> tuple[Graph, VertexSet, VertexSet
     next_id = 2
     for _ in range(steps):
         options = _feasible_ops(adj, d, p)
-        assert options, "no feasible operation; certificate invariant broken"
+        if not options:
+            raise RuntimeError("no feasible operation; certificate invariant broken")
         op, attach = rng.choice(options)
         new = tuple(range(next_id, next_id + OP_ARITY[op]))
         next_id += OP_ARITY[op]

@@ -1,0 +1,41 @@
+"""The paper's structure theorems against the exact search on every graph
+of the networkx atlas with 1 to 7 vertices."""
+
+from itertools import combinations
+
+import networkx as nx
+import pytest
+
+from eocd.graph import Graph
+from eocd.solver import (
+    SearchMode,
+    check_empty_dp_characterization,
+    check_empty_pd_characterization,
+    find_eocd,
+)
+
+
+def _atlas():
+    for G in nx.graph_atlas_g():
+        if G.number_of_nodes() >= 1:
+            yield Graph(G.number_of_nodes(), list(G.edges))
+
+
+def _some_subset(n, pred):
+    return any(pred(set(s)) for k in range(n + 1) for s in combinations(range(n), k))
+
+
+@pytest.mark.parametrize("mode, characterization", [
+    (SearchMode.EMPTY_INTERSECTION, check_empty_dp_characterization),   # A = D | P
+    (SearchMode.EMPTY_P_MINUS_D, check_empty_pd_characterization),      # the set D
+])
+def test_characterization_matches_search_on_the_atlas(mode, characterization):
+    graphs = list(_atlas())
+    assert len(graphs) == 1252
+    hits = 0
+    for g in graphs:
+        found = find_eocd(g, mode) is not None
+        holds = _some_subset(g.n, lambda s: characterization(g, s))
+        assert found == holds, (mode, sorted(g.edges()))
+        hits += found
+    assert hits > 0

@@ -50,7 +50,7 @@ def test_verify_reports_offending_vertex(tmp_path, capsys):
     code, text, _ = run(capsys, "verify", str(out),
                         "--d", "1,2,5,6,9,10", "--p", "1,2,7,10")
     assert code == 1
-    assert "doubly covered" in text
+    assert "P: invalid — vertex 1 is doubly covered by P (via 1 and 2)" in text
     code, text, _ = run(capsys, "verify", str(out),
                         "--d", "1,2,5,6,9,10", "--p", "1,7,10")
     assert code == 1

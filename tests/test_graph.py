@@ -9,6 +9,7 @@ from eocd.graph import (
     connected_components,
     contract_edges,
     dump_edge_list,
+    first_violation,
     induced_subgraph,
     is_tree,
     open_neighborhood,
@@ -95,6 +96,48 @@ def test_parse_edge_list_comments_and_errors():
         parse_edge_list("3 1\n0 1\n1 2\n")  # wrong edge count
     with pytest.raises(GraphError):
         parse_edge_list("not a header\n")
+
+
+def test_parse_edge_list_errors_name_the_line():
+    cases = [
+        ("3 1\n# c\n0 x\n", "line 3", "'x'"),              # non-integer id
+        ("x 1\n", "line 1", "'x'"),                          # non-integer header
+        ("3 1\nL y a\n0 1\n", "line 2", "'y'"),             # non-integer label id
+        ("3 1\n0 3\n", "line 2", "(0, 3)"),                 # endpoint out of range
+        ("3 1\n\n1 1\n", "line 3", "(1, 1)"),              # self-loop
+        ("3 1\n0 1 2\n", "line 2", "'0 1 2'"),              # too many tokens
+        ("3 1\nL 7 a\n0 1\n", "line 2", "vertex 7"),         # label out of range
+        ("# c\n3 2\n0 1\n", "line 2", "promises 2"),         # edge count
+        ("# only a comment\n", "line 2", "header"),           # no header
+    ]
+    for text, where, what in cases:
+        with pytest.raises(GraphError) as info:
+            parse_edge_list(text)
+        assert str(info.value).startswith(where + ":") and what in str(info.value), text
+
+
+def test_first_violation_on_graphs_and_label_dicts():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert first_violation(range(g.n), g.neighbors, {1, 2}, closed=False) is None
+    assert first_violation(range(g.n), g.neighbors, {0, 3}, closed=True) is None
+    assert first_violation(range(g.n), g.neighbors, {1}, closed=False) == (1, [])
+    assert first_violation(range(g.n), g.neighbors, {0, 1}, closed=True) == (0, [0, 1])
+    # the same path as a label-keyed dict, in a non-sorted vertex order
+    adj = {30: {20}, 20: {10, 30}, 10: {0, 20}, 0: {10}}
+    assert first_violation(adj, adj.__getitem__, {10, 20}, closed=False) is None
+    assert first_violation(adj, adj.__getitem__, {20}, closed=True) == (0, [])
+    assert first_violation(adj, adj.__getitem__, {20, 10}, closed=True) == (20, [10, 20])
+
+
+def test_first_violation_rejects_ids_outside_the_graph():
+    g = Graph(2, [(0, 1)])
+    for bad in (-1, 2, 99):
+        for closed in (False, True):
+            with pytest.raises(GraphError, match=str(bad)):
+                first_violation(range(g.n), g.neighbors, {0, bad}, closed)
+    adj = {5: {6}, 6: {5}}
+    with pytest.raises(GraphError, match="0"):
+        first_violation(adj, adj.__getitem__, {0}, closed=False)
 
 
 @st.composite

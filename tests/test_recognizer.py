@@ -6,8 +6,8 @@ import time
 from eocd.claims import star_forest
 from eocd.families import complete_bipartite, cycle, path
 from eocd.graph import Graph
-from eocd.recognizer import recognize_empty_pd
-from eocd.solver import SearchMode, find_eocd
+from eocd.recognizer import _nested_candidate, recognize_empty_pd
+from eocd.solver import SearchMode, find_eocd, is_ecd_set, is_eod_set
 
 
 def test_star_is_recognized():
@@ -50,6 +50,10 @@ def test_agrees_with_search_on_random_graphs():
         n = rng.randint(2, 12)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         g = Graph(n, [e for e in pairs if rng.random() < 0.3])
+        # the characterization: the candidate P is ECD iff the candidate D is EOD
+        d, p = _nested_candidate(g)
+        assert p <= d
+        assert is_ecd_set(g, p) == is_eod_set(g, d), sorted(g.edges())
         fast = recognize_empty_pd(g)
         slow = find_eocd(g, SearchMode.EMPTY_P_MINUS_D)
         assert (fast is None) == (slow is None), sorted(g.edges())
@@ -65,7 +69,7 @@ def test_cycles_never_nested():
 def test_large_star_forest_is_fast():
     g = star_forest(2_000)
     t0 = time.perf_counter()
-    cert = recognize_empty_pd(g, _check_equivalence=False)
+    cert = recognize_empty_pd(g)
     assert time.perf_counter() - t0 < 1.0
     assert cert is not None
     assert len(cert.p) == 2_000

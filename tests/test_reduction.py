@@ -56,6 +56,23 @@ def test_parse_dimacs():
         parse_dimacs("1 2 3 0\n")
 
 
+def test_parse_dimacs_errors_name_the_line():
+    cases = [
+        ("p cnf 3 1\n\n1 2 x 0\n", "line 3", "'x'"),          # non-integer literal
+        ("c head\np cnf three 1\n", "line 2", "'three'"),      # non-integer count
+        ("p cnf -2 0\n", "line 1", ">= 0"),                      # negative count
+        ("p cnf 3 1\n1 2 4 0\n", "line 2", "variable 3"),       # variable out of range
+        ("p cnf 3 1\nc\n1 1 2 0\n", "line 3", "repeats"),      # repeated variable
+        ("p cnf 3 1\n1 2 3\n", "line 2", "single 0"),            # missing terminator
+        ("c only\n", "line 2", "problem line"),                  # no problem line
+        ("c\np cnf 3 2\n1 2 3 0\n", "line 2", "promises 2"),   # clause count
+    ]
+    for text, where, what in cases:
+        with pytest.raises(FormulaError) as info:
+            parse_dimacs(text)
+        assert str(info.value).startswith(where + ":") and what in str(info.value), text
+
+
 def test_reduction_graph_shape():
     g, labels = build_reduction(F1)
     assert g.n == 23 * 3 + 1

@@ -3,12 +3,38 @@
 import pytest
 
 from eocd.sierpinski import (
+    _vid,
     sierpinski,
     sierpinski_eod_set,
     sierpinski_gamma_t,
     sierpinski_is_eocd,
 )
 from eocd.solver import find_eocd, gamma_t, is_ecd_set, is_eod_set
+
+
+def _recursive_edges(p, n):
+    """Reference: p copies of S_p^(n-1), copy i joined to copy j by the
+    edge i j..j -- j i..i."""
+    if n == 0:
+        return set()
+    if n == 1:
+        return {(i, j) for i in range(p) for j in range(i + 1, p)}
+    size = p ** (n - 1)
+    prev = _recursive_edges(p, n - 1)
+    edges = {(i * size + u, i * size + v) for i in range(p) for u, v in prev}
+    for i in range(p):
+        for j in range(p):
+            if i != j:
+                a = _vid((i,) + (j,) * (n - 1), p)
+                b = _vid((j,) + (i,) * (n - 1), p)
+                edges.add((min(a, b), max(a, b)))
+    return edges
+
+
+@pytest.mark.parametrize("p, n", [(1, 0), (1, 3), (2, 4), (3, 0), (3, 1), (3, 3), (4, 3),
+                                  (5, 2), (6, 2), (7, 2), (3, 5)])
+def test_digit_rule_matches_recursive_definition(p, n):
+    assert set(sierpinski(p, n).edges()) == _recursive_edges(p, n)
 
 
 def test_base_cases():
@@ -60,6 +86,7 @@ def test_explicit_eod_sets_even_cases():
     for p, n in [(4, 2), (6, 2), (4, 3), (8, 2)]:
         d = sierpinski_eod_set(p, n)
         assert len(d) == p ** (n - 1)
+        assert is_eod_set(sierpinski(p, n), d)
 
 
 def test_parity_criterion_against_solver():

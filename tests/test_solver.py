@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eocd.families import complete_bipartite, cycle, hypercube, path
-from eocd.graph import Graph
+from eocd.graph import Graph, GraphError
 from eocd.solver import (
     EocdCertificate,
     InvalidCertificateError,
@@ -88,6 +88,26 @@ def test_certificate_partition_and_validation():
     assert cert.r == frozenset(range(12)) - cert.d - cert.p
     with pytest.raises(InvalidCertificateError):
         EocdCertificate(12, cert.d, frozenset({0, 1})).validate(g)
+
+
+def test_ids_outside_the_graph_are_rejected():
+    g = path(2)
+    for d in ({0, -1}, {0, 2}):
+        with pytest.raises(GraphError):
+            is_eod_set(g, d)
+        with pytest.raises(GraphError):
+            is_ecd_set(g, d)
+        with pytest.raises(GraphError):
+            EocdCertificate(2, frozenset(d), frozenset({0})).validate(g)
+
+
+def test_validation_names_the_vertex():
+    g = path(4)
+    with pytest.raises(InvalidCertificateError, match="vertex 1 is uncovered by D"):
+        EocdCertificate(4, frozenset({1}), frozenset({0, 3})).validate(g)
+    doubly = r"vertex 0 is doubly covered by P \(via 0 and 1\)"
+    with pytest.raises(InvalidCertificateError, match=doubly):
+        EocdCertificate(4, frozenset({1, 2}), frozenset({0, 1})).validate(g)
 
 
 def test_search_modes():
