@@ -227,8 +227,11 @@ def _cmd_tree_replay(args) -> int:
 
 
 def _cmd_tree_random(args) -> int:
-    g, d, p, seq = random_eocd_tree(steps=args.steps, seed=args.seed)
     cap = _max_vertices(args)
+    if args.steps + 2 > cap:   # every step adds at least one vertex to K2
+        raise UsageError(f"--steps {args.steps} grows at least {args.steps + 2} vertices, "
+                         f"above --max-vertices {cap}")
+    g, d, p, seq = random_eocd_tree(steps=args.steps, seed=args.seed)
     if g.n > cap:
         raise UsageError(f"grown tree has {g.n} vertices, above --max-vertices {cap}")
     _write_output(args, dump_edge_list(g))

@@ -394,16 +394,20 @@ class StructureReport:
         return [(name, detail) for name, ok, detail in self.checks if not ok]
 
 
-def _components(g: Graph) -> list[list[int]]:
-    return [sorted(c) for c in connected_components(g)]
-
-
-def _is_disjoint_p4s(g: Graph) -> bool:
-    for comp in _components(g):
-        if len(comp) != 4:
-            return False
-        degs = sorted(g.degree(v) for v in comp)
-        if degs != [1, 1, 2, 2]:
+def _is_disjoint_p4s(g: Graph, s) -> bool:
+    """Whether the subgraph of g induced by the vertex set s is a union of P4s."""
+    seen = set()
+    for v in s:
+        if v in seen:
+            continue
+        seen.add(v)
+        comp = [v]
+        for x in comp:   # grows into the component of v
+            for w in g.neighbors(x):
+                if w in s and w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        if sorted(sum(1 for w in g.neighbors(x) if w in s) for x in comp) != [1, 1, 2, 2]:
             return False
     return True
 
@@ -414,12 +418,11 @@ def classify_partition(g: Graph, cert: EocdCertificate) -> StructureReport:
     dp, d_only, p_only = cert.dp, cert.d_only, cert.p_only
     r = cert.r
     checks: list[tuple[str, bool, str]] = []
-
-    def neighbor_counts(v):
-        nb = g.neighbors(v)
-        return (sum(1 for w in nb if w in dp),
-                sum(1 for w in nb if w in d_only),
-                sum(1 for w in nb if w in p_only))
+    counts = [[0, 0, 0] for _ in range(g.n)]   # neighbors in D&P, D-P, P-D
+    for k, part in enumerate((dp, d_only, p_only)):
+        for w in part:
+            for v in g.neighbors(w):
+                counts[v][k] += 1
 
     def bullet(name, vertices, pred):
         for v in vertices:
@@ -429,12 +432,12 @@ def classify_partition(g: Graph, cert: EocdCertificate) -> StructureReport:
         checks.append((name, True, ""))
 
     bullet("dp-vertices: one D-P neighbor, no P-D neighbors", sorted(dp),
-           lambda v: neighbor_counts(v)[1] == 1 and neighbor_counts(v)[2] == 0)
+           lambda v: counts[v][1] == 1 and counts[v][2] == 0)
     bullet("p-only vertices: one D-P neighbor, no D&P neighbors", sorted(p_only),
-           lambda v: neighbor_counts(v)[1] == 1 and neighbor_counts(v)[0] == 0)
+           lambda v: counts[v][1] == 1 and counts[v][0] == 0)
 
     def two_way(v):
-        c_dp, c_do, c_po = neighbor_counts(v)
+        c_dp, c_do, c_po = counts[v]
         return ((c_po == 1 and c_do == 1 and c_dp == 0)
                 or (c_dp == 1 and c_po == 0 and c_do == 0))
 
@@ -443,20 +446,17 @@ def classify_partition(g: Graph, cert: EocdCertificate) -> StructureReport:
     bullet("R vertices: (one P-D and one D-P neighbor) or one D&P neighbor",
            sorted(r), two_way)
 
-    partners_dp = {w for v in dp for w in g.neighbors(v) if w in d_only}
-    sub, _ = induced_subgraph(g, dp | partners_dp)
-    ok = all(sub.degree(v) == 1 for v in range(sub.n))
+    matched = dp | {w for v in dp for w in g.neighbors(v) if w in d_only}
+    ok = all(sum(1 for w in g.neighbors(v) if w in matched) == 1 for v in matched)
     checks.append(("D&P with their D-P partners induce a matching", ok,
                    "" if ok else "induced subgraph is not a perfect matching"))
 
     partners_po = {w for v in p_only for w in g.neighbors(v) if w in d_only}
     partners_po |= {w for v in partners_po for w in g.neighbors(v) if w in d_only}
-    sub4, _ = induced_subgraph(g, p_only | partners_po)
-    ok4 = _is_disjoint_p4s(sub4) if sub4.n else True
-    k = sub4.n // 4
-    ok4 = ok4 and 2 * k == len(p_only)
+    four = p_only | partners_po
+    ok4 = _is_disjoint_p4s(g, four) and 2 * (len(four) // 4) == len(p_only)
     checks.append(("P-D with their D-P partners induce k copies of P4, 2k = |P-D|",
-                   ok4, "" if ok4 else f"induced subgraph on {sub4.n} vertices is not kP4"))
+                   ok4, "" if ok4 else f"induced subgraph on {len(four)} vertices is not kP4"))
     return StructureReport(checks)
 
 
@@ -469,7 +469,7 @@ def check_empty_dp_characterization(g: Graph, a) -> bool:
     """
     a = frozenset(a)
     sub, vmap = induced_subgraph(g, a)
-    if sub.n % 4 != 0 or not _is_disjoint_p4s(sub):
+    if sub.n % 4 != 0 or not _is_disjoint_p4s(sub, range(sub.n)):
         return False
     deg_in_a = {vmap[i]: sub.degree(i) for i in range(sub.n)}
     for v in range(g.n):

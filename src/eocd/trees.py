@@ -2,10 +2,16 @@
 
 Every EOCD tree arises from K2 by a sequence of the local operations
 O1-O5, each of which extends a certified tree (T, D, P) and updates the
-certificate.  This module applies and replays such sequences, recognizes
-EOCD trees by one linear leaf-up DP run once for open and once for
-closed neighborhoods, and decomposes a certified tree into a sequence
-that replays to the identical labeled tree.
+certificate.  This module applies and replays such sequences, grows
+random ones, recognizes EOCD trees by one linear leaf-up DP run once for
+open and once for closed neighborhoods, and decomposes a certified tree
+into a sequence that replays to the identical labeled tree.
+
+The certificate is checked in full where it enters (`apply_step`,
+`decompose`) and where `is_eocd_tree` returns it.  After each step only
+the vertices whose hit count the step can change are checked
+(`_check_step`): the certificate before the step was valid, so that is
+the whole check.
 
 Internally trees are adjacency dicts over arbitrary integer labels so
 that decomposition can delete vertices without relabeling; the public
@@ -15,13 +21,16 @@ API speaks dense `Graph` values.
 from __future__ import annotations
 
 import random
-from collections import deque
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .graph import Graph, VertexSet, describe_violation, first_violation, is_tree
 
 OP_ARITY = {"O1": 1, "O2": 3, "O3": 5, "O4": 1, "O5": 1}
 OP_ATTACH = {"O1": 1, "O2": 1, "O3": 1, "O4": 3, "O5": 6}
+# Positions in `attach` of the old vertices whose P membership an operation
+# toggles; no operation moves an old vertex into or out of D.
+OP_FLIPS = {"O4": (0, 1), "O5": (1, 2, 4, 5)}
 
 
 class OpPreconditionError(ValueError):
@@ -132,13 +141,32 @@ def _check_cert(adj: dict, d: set, p: set, context: str) -> None:
             raise OpPreconditionError(f"{context}: {describe_violation(*bad, name)}")
 
 
+def _check_step(adj: dict, d: set, p: set, touched, flips, context: str) -> None:
+    """`_check_cert` at the vertices whose hit counts a step can change: the
+    `touched` ends of the edges it adds or removes, and N[z] for each old
+    vertex z in its P `flips`.  That is the whole check when the
+    certificate before the step was valid."""
+    near = {x for x in touched if x in adj}
+    for z in flips:
+        near.add(z)
+        near.update(adj[z])
+    for name, members, closed in (("D", d, False), ("P", p, True)):
+        for x in sorted(near):
+            via = adj[x] & members   # O(min(deg x, |members|))
+            if closed and x in members:
+                via.add(x)
+            if len(via) != 1:
+                raise OpPreconditionError(f"{context}: {describe_violation(x, sorted(via), name)}")
+
+
 def _require(cond: bool, op: str, clause: str) -> None:
     if not cond:
         raise OpPreconditionError(f"{op}: {clause}")
 
 
-def _apply_labeled(adj: dict, d: set, p: set, step: TreeOpStep) -> None:
-    """Apply one operation in place; raises on any violated clause."""
+def _apply_labeled(adj: dict, d: set, p: set, step: TreeOpStep) -> tuple:
+    """Apply one operation in place; raises on any violated clause.  Returns
+    the anchor the new path hangs from, the new vertices and the P flips."""
     op, attach, new = step.op, step.attach, step.new
     for x in attach:
         _require(x in adj, op, f"attachment vertex {x} does not exist")
@@ -146,27 +174,17 @@ def _apply_labeled(adj: dict, d: set, p: set, step: TreeOpStep) -> None:
         _require(x not in adj, op, f"new vertex {x} already exists")
     _require(len(set(new)) == len(new), op, "new vertex ids must be distinct")
 
-    def add_path(anchor, chain):
-        prev = anchor
-        for x in chain:
-            adj[x] = {prev}
-            adj[prev].add(x)
-            prev = x
-
     if op == "O1":
-        (u,), (v,) = attach, new
+        (u,) = attach
         _require(u in d and u in p, op, f"{u} must lie in both D and P")
-        add_path(u, [v])
     elif op == "O2":
         (w,), (x, u, v) = attach, new
         _require(w not in d, op, f"{w} must not lie in D")
-        add_path(w, [x, u, v])
         d.update((u, v))
         p.add(v if w in p else u)
     elif op == "O3":
         (t,), (z, w, x, u, v) = attach, new
         _require(t in d and t not in p, op, f"{t} must lie in D and not in P")
-        add_path(t, [z, w, x, u, v])
         d.update((u, x))
         p.update((v, w))
     elif op == "O4":
@@ -176,13 +194,11 @@ def _apply_labeled(adj: dict, d: set, p: set, step: TreeOpStep) -> None:
                  f"{u} must have degree 2 with neighbors {v} and {x}")
         _require(u in d and x in d, op, f"{u} and {x} must lie in D")
         _require(u in p, op, f"{u} must lie in P")
-        add_path(x, [y])
         p.discard(u)
         p.update((v, y))
     elif op == "O5":
         (u, x, w, z, wp, xp), (v,) = attach, new
-        path = (u, x, w, z, wp, xp)
-        for a, b in zip(path, path[1:]):
+        for a, b in zip(attach, attach[1:]):
             _require(b in adj[a], op, f"{a}-{b} must be an edge of the path")
         _require(len(adj[u]) == 1 and len(adj[xp]) == 1, op,
                  f"{u} and {xp} must be leaves")
@@ -192,10 +208,17 @@ def _apply_labeled(adj: dict, d: set, p: set, step: TreeOpStep) -> None:
             _require(m in d, op, f"{m} must lie in D")
         for m in (x, wp):
             _require(m in p, op, f"{m} must lie in P")
-        add_path(u, [v])
         p.difference_update((x, wp))
         p.update((v, xp, w))
-    _check_cert(adj, d, p, f"after {op}")
+    anchor = prev = attach[2] if op == "O4" else attach[0]
+    for x in new:
+        adj[x] = {prev}
+        adj[prev].add(x)
+        prev = x
+    flips = [attach[i] for i in OP_FLIPS.get(op, ())]
+    # a new vertex's neighbors are new vertices or the anchor
+    _check_step(adj, d, p, (anchor, *new), flips, f"after {op}")
+    return (anchor, *new, *flips)
 
 
 def _adj_of(g: Graph) -> dict:
@@ -239,18 +262,19 @@ def replay(seq: TreeOpSequence) -> tuple[Graph, VertexSet, VertexSet]:
 # recognition: one leaf-up DP for open and closed neighborhoods
 
 def _postorder(adj: dict, root) -> tuple[list, dict]:
-    parent = {root: None}
+    """The vertices, children before parents, and their depths below root."""
+    depth = {root: 0}
     order = []
     stack = [root]
     while stack:
         x = stack.pop()
         order.append(x)
         for w in adj[x]:
-            if w not in parent:
-                parent[w] = x
+            if w not in depth:
+                depth[w] = depth[x] + 1
                 stack.append(w)
     order.reverse()
-    return order, parent
+    return order, depth
 
 
 def _tree_code(order: list, children: dict, closed: bool) -> set | None:
@@ -303,8 +327,8 @@ def is_eocd_tree(t: Graph) -> tuple[VertexSet, VertexSet] | None:
     if not is_tree(t):
         raise ValueError("input is not a tree")
     adj = _adj_of(t)
-    order, parent = _postorder(adj, 0)
-    children = {x: [w for w in adj[x] if w != parent[x]] for x in adj}
+    order, depth = _postorder(adj, 0)
+    children = {x: [w for w in adj[x] if depth[w] > depth[x]] for x in adj}
     d = _tree_code(order, children, closed=False)
     if d is None:
         return None
@@ -323,36 +347,14 @@ class _Redirect(Exception):
         self.leaf = leaf
 
 
-def _deepest_leaf(adj: dict, depth: dict, within=None) -> int:
-    pool = within if within is not None else adj.keys()
-    leaves = [x for x in pool if len(adj[x]) == 1]
-    return min(leaves, key=lambda x: (-depth[x], x))
-
-
-def _subtree(adj: dict, depth: dict, top) -> list:
-    out = []
-    stack = [top]
-    seen = {top}
+def _deepest_leaf(adj: dict, depth: dict, top) -> int:
+    """The deepest leaf in the subtree below `top`, ties by smallest id."""
+    below, stack = [], [top]
     while stack:
         x = stack.pop()
-        out.append(x)
-        for w in adj[x]:
-            if w not in seen and depth[w] > depth[x]:
-                seen.add(w)
-                stack.append(w)
-    return out
-
-
-def _depths(adj: dict, root) -> dict:
-    depth = {root: 0}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for w in adj[x]:
-            if w not in depth:
-                depth[w] = depth[x] + 1
-                queue.append(w)
-    return depth
+        below.append(x)
+        stack.extend(w for w in adj[x] if depth[w] > depth[x])
+    return min((x for x in below if len(adj[x]) == 1), key=lambda x: (-depth[x], x))
 
 
 def _nbr_other(adj: dict, x, excl) -> int:
@@ -368,14 +370,14 @@ def _need(cond: bool, msg: str) -> None:
 
 
 def _inverse_step(adj, d, p, v, depth, root):
-    """Peel off one operation at leaf v; returns (step, removed vertices,
-    certificate updates) or raises _Redirect(other leaf)."""
+    """The operation whose inverse peels leaf v off, or raises
+    _Redirect(other leaf).  Its new vertices are the ones to remove."""
     (u,) = adj[v]
 
     if v not in p and v not in d:
         # Case 1: plain pendant vertex on a D&P vertex.
         _need(u in d and u in p, f"leaf {v} outside D,P must hang on a D&P vertex")
-        return TreeOpStep("O1", (u,), (v,)), [v], set(), set()
+        return TreeOpStep("O1", (u,), (v,))
 
     if v in d and v not in p:
         # Case 2: v in D only, support u in D&P.
@@ -392,7 +394,7 @@ def _inverse_step(adj, d, p, v, depth, root):
         _need(len(adj[x]) == 2, f"vertex {x} above {u} must have degree 2")
         w = _nbr_other(adj, x, u)
         _need(w not in d, f"attachment {w} must lie outside D")
-        return TreeOpStep("O2", (w,), (x, u, v)), [v, u, x], {u, v}, {u}
+        return TreeOpStep("O2", (w,), (x, u, v))
 
     if v in d and v in p:
         # Case 3: v in D&P, support u in D-P.
@@ -402,7 +404,7 @@ def _inverse_step(adj, d, p, v, depth, root):
         _need(len(adj[x]) == 2, f"vertex {x} above {u} must have degree 2")
         w = _nbr_other(adj, x, u)
         _need(w in p and w not in d, f"attachment {w} must lie in P-D")
-        return TreeOpStep("O2", (w,), (x, u, v)), [v, u, x], {u, v}, {v}
+        return TreeOpStep("O2", (w,), (x, u, v))
 
     # Case 4: v in P only.
     _need(u in d and u not in p, f"support {u} of leaf {v} must lie in D-P")
@@ -413,22 +415,21 @@ def _inverse_step(adj, d, p, v, depth, root):
     if leaf_children:
         y = leaf_children[0]
         _need(y in p and y not in d, f"pendant {y} on {x} must lie in P-D")
-        step = TreeOpStep("O4", (v, u, x), (y,))
-        return step, [y], set(), ({v, y}, {u})  # P rewrite: drop {v,y}, add {u}
+        return TreeOpStep("O4", (v, u, x), (y,))
     _need(len(adj[x]) == 2, f"vertex {x} must have degree 2")
     w = _nbr_other(adj, x, u)
     _need(w in p and w not in d, f"vertex {w} must lie in P-D")
     if len(adj[w]) >= 3:
         branches = [y for y in adj[w] if y != x and depth[y] > depth[w]]
         _need(bool(branches), f"vertex {w} of degree >= 3 has no second branch")
-        raise _Redirect(_deepest_leaf(adj, depth, _subtree(adj, depth, min(branches))))
+        raise _Redirect(_deepest_leaf(adj, depth, min(branches)))
     z = _nbr_other(adj, w, x)
     _need(z not in d and z not in p, f"vertex {z} must lie outside D and P")
     if len(adj[z]) == 2:
         # Subcase 4.2: peel the whole pendant path via O3.
         t = _nbr_other(adj, z, w)
         _need(t in d and t not in p, f"attachment {t} must lie in D-P")
-        return TreeOpStep("O3", (t,), (z, w, x, u, v)), [v, u, x, w, z], {u, x}, {v, w}
+        return TreeOpStep("O3", (t,), (z, w, x, u, v))
     # Subcase 4.1: z has another down branch through w'.
     branches = sorted(y for y in adj[z] if y != w and depth[y] > depth[z])
     _need(bool(branches), f"vertex {z} of degree >= 3 has no second down branch")
@@ -450,9 +451,9 @@ def _inverse_step(adj, d, p, v, depth, root):
         _need(up_ in d and up_ not in p, f"vertex {up_} must lie in D-P")
         others = [y for y in adj[wp] if y not in (z, xp)]
         if others:
-            raise _Redirect(_deepest_leaf(adj, depth, _subtree(adj, depth, min(others))))
+            raise _Redirect(_deepest_leaf(adj, depth, min(others)))
         _need(len(adj[up_]) == 1, f"vertex {up_} must be a leaf")
-        return TreeOpStep("O2", (z,), (wp, xp, up_)), [up_, xp, wp], {up_, xp}, {xp}
+        return TreeOpStep("O2", (z,), (wp, xp, up_))
     # Subcase 4.1.2: wp in D
     if xp in d:
         below = [y for y in adj[xp] if y != wp]
@@ -461,8 +462,7 @@ def _inverse_step(adj, d, p, v, depth, root):
             _need(bool(extra), f"vertex {xp} has children but none removable")
             raise _Redirect(min(extra))
         _need(len(adj[wp]) == 2, f"vertex {wp} must have degree 2")
-        step = TreeOpStep("O5", (u, x, w, z, wp, xp), (v,))
-        return step, [v], set(), ({xp, w, v}, {x, wp})  # P rewrite
+        return TreeOpStep("O5", (u, x, w, z, wp, xp), (v,))
     _need(len(adj[xp]) == 1, f"vertex {xp} outside D must be a leaf")
     x2s = [y for y in adj[wp] if y != z and y in d]
     _need(len(x2s) == 1, f"vertex {wp} must have exactly one D child")
@@ -470,8 +470,7 @@ def _inverse_step(adj, d, p, v, depth, root):
     _need(len(adj[x2]) == 2, f"vertex {x2} must have degree 2")
     u2 = _nbr_other(adj, x2, wp)
     _need(u2 in p and len(adj[u2]) == 1, f"vertex {u2} must be a P leaf")
-    step = TreeOpStep("O4", (u2, x2, wp), (xp,))
-    return step, [xp], set(), ({xp, u2}, {x2})  # P rewrite
+    return TreeOpStep("O4", (u2, x2, wp), (xp,))
 
 
 def decompose(t: Graph, d, p) -> TreeOpSequence:
@@ -479,38 +478,53 @@ def decompose(t: Graph, d, p) -> TreeOpSequence:
 
     Implements the rooted case analysis: at each stage the deepest leaf
     (ties by smallest id) below the minimum-id root is peeled off by the
-    inverse of one operation, rewriting the certificate as required.
-    Every intermediate certificate is re-validated; an invalid rewrite
-    fails loudly instead of guessing.
+    inverse of one operation: its new vertices leave the tree, D and P,
+    and its P flips are undone.  The certificate is checked in full on
+    input; after each peel `_check_step` checks the vertices whose hit
+    count the peel can change, which suffices because the certificate
+    before it was valid.  An invalid rewrite fails loudly instead of
+    guessing.
     """
     if not is_tree(t):
         raise ValueError("input is not a tree")
     adj = _adj_of(t)
     d, p = set(d), set(p)
     _check_cert(adj, d, p, "decompose input")
+    import heapq   # here, so that importing eocd does not load its C extension
     steps_rev: list[TreeOpStep] = []
+    root = None
     while len(adj) > 2:
-        root = min(adj)
-        depth = _depths(adj, root)
-        v = _deepest_leaf(adj, depth)
+        if root not in adj:
+            # A peel keeps the rest connected, so the depths and the heap of
+            # leaves stay valid until the root itself is peeled.
+            root = min(adj)
+            _, depth = _postorder(adj, root)
+            leaves = [(-depth[x], x) for x in adj if len(adj[x]) == 1]
+            heapq.heapify(leaves)
+        while leaves[0][1] not in adj:
+            heapq.heappop(leaves)
+        v = leaves[0][1]
         for _ in range(len(adj) + 1):
             try:
-                step, removed, d_del, p_change = _inverse_step(adj, d, p, v, depth, root)
+                step = _inverse_step(adj, d, p, v, depth, root)
                 break
             except _Redirect as r:
                 v = r.leaf
         else:
             raise DecomposeError("redirect loop in case analysis")
-        for x in removed:
+        touched = set()
+        for x in step.new:
             for w in adj.pop(x):
                 adj[w].discard(x)
-        d -= d_del
-        if isinstance(p_change, tuple):
-            drop, add = p_change
-            p = (p - drop) | add
-        else:
-            p -= p_change
-        _check_cert(adj, d, p, f"after inverse {step.op}")
+                touched.add(w)
+        for w in touched:
+            if w in adj and len(adj[w]) == 1:
+                heapq.heappush(leaves, (-depth[w], w))
+        d.difference_update(step.new)
+        p.difference_update(step.new)
+        flips = [step.attach[i] for i in OP_FLIPS.get(step.op, ())]
+        p.symmetric_difference_update(flips)
+        _check_step(adj, d, p, touched, flips, f"after inverse {step.op}")
         steps_rev.append(step)
     a, b = sorted(adj)
     _need(d == {a, b}, f"residual K2 {a},{b} must carry D = both vertices")
@@ -520,53 +534,85 @@ def decompose(t: Graph, d, p) -> TreeOpSequence:
 
 
 def random_eocd_tree(steps: int, seed: int) -> tuple[Graph, VertexSet, VertexSet, TreeOpSequence]:
-    """Grow a random EOCD tree by feasible operations; deterministic per seed."""
+    """Grow a random EOCD tree by feasible operations; deterministic per seed.
+
+    Each step draws uniformly from the feasible operations: O1, O2, O3 by
+    attachment vertex, then the O4/O5 walks of each leaf by leaf id.  The
+    four parts are kept sorted; a step recomputes only the options of the
+    `_readers_of` the vertices it changed.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rng = random.Random(seed)
     adj = {0: {1}, 1: {0}}
     d, p = {0, 1}, {0}
     seq = TreeOpSequence()
+    pools: tuple = ([], [], [], [])   # sorted (attach, op) of O1, O2, O3, O4/O5
+    entries: dict = {}                # vertex -> its (pool, entry) pairs
+    changed = (0, 1)
     next_id = 2
     for _ in range(steps):
-        options = _feasible_ops(adj, d, p)
-        if not options:
-            raise RuntimeError("no feasible operation; certificate invariant broken")
-        op, attach = rng.choice(options)
+        for z in _readers_of(adj, changed):
+            old, now = entries.get(z, []), _options_at(adj, d, p, z)
+            if now != old:
+                for k, entry in old:
+                    del pools[k][bisect_left(pools[k], entry)]
+                for k, entry in now:
+                    insort(pools[k], entry)
+                entries[z] = now
+        i = rng.choice(range(sum(map(len, pools))))   # as rng.choice(options) draws
+        for pool in pools:
+            if i < len(pool):
+                break
+            i -= len(pool)
+        attach, op = pool[i]
         new = tuple(range(next_id, next_id + OP_ARITY[op]))
         next_id += OP_ARITY[op]
         step = TreeOpStep(op, attach, new)
-        _apply_labeled(adj, d, p, step)
+        changed = _apply_labeled(adj, d, p, step)
         seq.steps.append(step)
     return _graph_of(adj), frozenset(d), frozenset(p), seq
 
 
-def _feasible_ops(adj: dict, d: set, p: set) -> list:
-    options = []
-    options.extend(("O1", (u,)) for u in sorted(d & p))
-    options.extend(("O2", (w,)) for w in sorted(set(adj) - d))
-    options.extend(("O3", (t,)) for t in sorted(d - p))
-    for lv in sorted(adj):
-        if len(adj[lv]) != 1:
-            continue
-        (lx,) = adj[lv]
-        if len(adj[lx]) != 2:
-            continue
-        far = next(w for w in adj[lx] if w != lv)
-        if lx in d and lx in p and far in d:
-            options.append(("O4", (lv, lx, far)))
-        # O5 walk: leaf-x-w-z-w'-x' with the stated degrees and memberships
-        if lv not in d or lx not in d or lx not in p:
-            continue
-        lw = far
-        if len(adj[lw]) != 2:
-            continue
-        lz = next(t for t in adj[lw] if t != lx)
-        for wp in sorted(adj[lz]):
-            if wp == lw or len(adj[wp]) != 2 or wp not in d or wp not in p:
-                continue
-            for xp in sorted(adj[wp]):
-                if xp == lz or len(adj[xp]) != 1 or xp not in d:
-                    continue
-                options.append(("O5", (lv, lx, lw, lz, wp, xp)))
-    return options
+def _options_at(adj: dict, d: set, p: set, z) -> list:
+    """The feasible operations attached at z, as (pool, (attach, op)).
+
+    Every vertex takes one of O1 (in D&P), O2 (outside D), O3 (in D-P).  A
+    leaf z may also start an O4 walk z-x-w and O5 walks z-x-w-z'-w'-x';
+    sorted by attach, its O4 comes first and its O5 walks in (w', x') order.
+    """
+    k = 1 if z not in d else 0 if z in p else 2
+    out = [(k, ((z,), ("O1", "O2", "O3")[k]))]
+    if len(adj[z]) != 1:
+        return out
+    (lx,) = adj[z]
+    if len(adj[lx]) != 2:
+        return out
+    lw = next(w for w in adj[lx] if w != z)
+    if lx in d and lx in p and lw in d:
+        out.append((3, ((z, lx, lw), "O4")))
+    if z not in d or lx not in d or lx not in p or len(adj[lw]) != 2:
+        return out
+    lz = next(t for t in adj[lw] if t != lx)
+    for wp in sorted(adj[lz]):
+        if wp != lw and len(adj[wp]) == 2 and wp in d and wp in p:
+            out.extend((3, ((z, lx, lw, lz, wp, xp), "O5")) for xp in sorted(adj[wp])
+                       if xp != lz and len(adj[xp]) == 1 and xp in d)
+    return out
+
+
+def _readers_of(adj: dict, changed) -> set:
+    """`changed` and the leaves whose O4/O5 walks can read one of them: at
+    most 5 hops away, along a path whose inner vertices have degree 2
+    except one (the walk's z')."""
+    out = set(changed)
+    stack = [(c, None, 0, False) for c in changed]
+    while stack:
+        x, parent, dist, branched = stack.pop()
+        for y in adj[x]:
+            deg = len(adj[y])
+            if deg == 1:
+                out.add(y)
+            elif y != parent and dist < 4 and (deg == 2 or not branched):
+                stack.append((y, x, dist + 1, branched or deg > 2))
+    return out

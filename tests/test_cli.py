@@ -103,6 +103,22 @@ def test_tree_random_decompose_replay(tmp_path, capsys):
     assert sorted(a.edges()) == sorted(b.edges())
 
 
+def test_tree_random_rejects_steps_above_cap_before_growing(capsys, monkeypatch):
+    monkeypatch.delenv("EOCD_MAX_VERTICES", raising=False)
+    # 10**8 steps would grow for hours; the cap check must come first
+    code, text, err = run(capsys, "tree", "random", "--steps", str(10 ** 8), "--seed", "1")
+    assert code == 2 and text == ""
+    assert "100000002 vertices" in err and "--max-vertices 4096" in err
+    # 4 steps pass the lower bound of 6 vertices; seed 1 grows 8, which the
+    # exact check after growth rejects
+    code, text, err = run(capsys, "--max-vertices", "6", "tree", "random", "--steps", "4",
+                          "--seed", "1")
+    assert code == 2 and text == ""
+    assert "grown tree has 8 vertices" in err
+    assert run(capsys, "--max-vertices", "8", "tree", "random", "--steps", "4",
+               "--seed", "1")[0] == 0
+
+
 def test_reduce_solve_extract(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 1\n1 2 3 0\n")

@@ -1,10 +1,15 @@
 """Tree growth operations, linear recognition, and decomposition."""
 
+import hashlib
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eocd.families import path
 from eocd.graph import Graph
 from eocd.solver import find_ecd, find_eod, is_ecd_set, is_eod_set
+import eocd.trees
 from eocd.trees import (
     DecomposeError,
     OpPreconditionError,
@@ -158,3 +163,111 @@ def test_random_tree_deterministic_per_seed():
     b = random_eocd_tree(steps=9, seed=42)
     assert sorted(a[0].edges()) == sorted(b[0].edges())
     assert a[1:3] == b[1:3]
+
+
+def _labeled(g, d, p):
+    return g.n, sorted(g.edges()), d, p
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_apply_step_chain_matches_replay(seed):
+    # apply_step checks its input certificate in full, so every
+    # intermediate state of the sequence gets the whole-tree check
+    g, d, p, seq = random_eocd_tree(steps=25, seed=seed)
+    t, dt, pt = K2, K2_D, K2_P
+    for step in seq.steps:
+        t, dt, pt = apply_step(t, dt, pt, step)
+    assert _labeled(t, dt, pt) == _labeled(*replay(seq)) == _labeled(g, d, p)
+
+
+@given(st.integers(0, 40), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_grow_decompose_replay_round_trip(steps, seed):
+    g, d, p, _ = random_eocd_tree(steps, seed)
+    assert _labeled(*replay(decompose(g, d, p))) == _labeled(g, d, p)
+
+
+def _feasible_ops(adj, d, p):
+    """Every feasible operation of a certified tree, rebuilt from scratch in
+    the order random_eocd_tree draws from."""
+    options = [("O1", (u,)) for u in sorted(d & p)]
+    options += [("O2", (w,)) for w in sorted(set(adj) - d)]
+    options += [("O3", (t,)) for t in sorted(d - p)]
+    for lv in sorted(adj):
+        if len(adj[lv]) != 1:
+            continue
+        (lx,) = adj[lv]
+        if len(adj[lx]) != 2:
+            continue
+        lw = next(w for w in adj[lx] if w != lv)
+        if lx in d and lx in p and lw in d:
+            options.append(("O4", (lv, lx, lw)))
+        if lv not in d or lx not in d or lx not in p or len(adj[lw]) != 2:
+            continue
+        lz = next(t for t in adj[lw] if t != lx)
+        for wp in sorted(adj[lz]):
+            if wp != lw and len(adj[wp]) == 2 and wp in d and wp in p:
+                options += [("O5", (lv, lx, lw, lz, wp, xp)) for xp in sorted(adj[wp])
+                            if xp != lz and len(adj[xp]) == 1 and xp in d]
+    return options
+
+
+@given(st.integers(0, 60), st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_grown_sequence_draws_from_the_full_option_list(steps, seed):
+    # the incremental option list must draw exactly what a rebuild per step draws
+    rng = random.Random(seed)
+    adj, d, p = {0: {1}, 1: {0}}, {0, 1}, {0}
+    for step in random_eocd_tree(steps, seed)[3].steps:
+        assert (step.op, step.attach) == rng.choice(_feasible_ops(adj, d, p))
+        eocd.trees._apply_labeled(adj, d, p, step)
+
+
+def test_local_check_after_a_step_names_the_vertex():
+    # P = {0, 1} covers vertex 0 twice; the check after O1 at 0 sees it
+    adj, d, p = {0: {1}, 1: {0}}, {0, 1}, {0, 1}
+    with pytest.raises(OpPreconditionError) as info:
+        eocd.trees._apply_labeled(adj, d, p, TreeOpStep("O1", (0,), (2,)))
+    assert str(info.value) == "after O1: vertex 0 is doubly covered by P (via 0 and 1)"
+
+
+def test_local_check_after_a_peel_names_the_vertex(monkeypatch):
+    # a wrong inverse: peel the P leaf 3 of P4 as if O1 had added it
+    t = path(4)
+    d, p = is_eocd_tree(t)
+    assert (d, p) == ({1, 2}, {0, 3})
+    monkeypatch.setattr(eocd.trees, "_inverse_step",
+                        lambda adj, d, p, v, depth, root: TreeOpStep("O1", (2,), (3,)))
+    with pytest.raises(OpPreconditionError) as info:
+        decompose(t, d, p)
+    assert str(info.value) == "after inverse O1: vertex 2 is uncovered by P"
+
+
+# SHA-256 of random_eocd_tree(steps, seed)[3].serialize() and of the
+# decompose() sequence of that tree, as the quadratic reference
+# implementation computed them: they pin the draw order and the peel order.
+PINS = [
+    (12, 0, 48, "a30fa89c6f3015d77190dea04338ce6ad2d675fe73b2219baad6edf512fd6203",
+     "1fa6def8a3035d6b432fefc38fa598db24e22a40e3d38706ea4c4c6eed6d15b7"),
+    (60, 1, 210, "accca859f2a468680357f8d3ec1e9a89a5f4525a41b09b3d7e5acd1f440c1862",
+     "a03767995b0508600ee80d1b186fb4580a2ba3215e249cd3b54d24e611438865"),
+    (250, 2, 844, "3cb953d4eabe9a820b7c861859eae9cfeb85ce83b38b39024367f61e100e85e5",
+     "294b76892e0938faec39a48ead3e13e229cf44b761ea3f3d4ee0e7662a84c635"),
+    (900, 3, 3060, "9fc3f310065f7b188ce91acca6f759fd7ca911872f53f512b844d0a4079e699e",
+     "d8b6e707e101f2964a468c1929c470798e91c46c5811aa3c1e5b60ff1656ace8"),
+]
+
+
+@pytest.mark.parametrize("steps, seed, n, grown, peeled", PINS)
+def test_grow_and_decompose_are_pinned(steps, seed, n, grown, peeled):
+    g, d, p, seq = random_eocd_tree(steps, seed)
+    assert g.n == n
+    assert hashlib.sha256(seq.serialize().encode()).hexdigest() == grown
+    assert hashlib.sha256(decompose(g, d, p).serialize().encode()).hexdigest() == peeled
+
+
+def test_ten_thousand_vertex_round_trip():
+    g, d, p, grown = random_eocd_tree(steps=3000, seed=11)
+    assert g.n > 10000
+    seq = decompose(g, d, p)
+    assert _labeled(*replay(seq)) == _labeled(*replay(grown)) == _labeled(g, d, p)
