@@ -4,14 +4,11 @@ from .graph import (
     Graph,
     GraphError,
     VertexSet,
-    bfs_distances,
-    closed_neighborhood,
     connected_components,
     contract_edges,
     dump_edge_list,
     induced_subgraph,
     is_tree,
-    open_neighborhood,
     parse_edge_list,
 )
 from .solver import (
@@ -56,7 +53,6 @@ from .reduction import (
     FormulaError,
     assignment_from_witness,
     brute_force_one_in_three,
-    build_gadget,
     build_reduction,
     parse_dimacs,
     witness_from_assignment,

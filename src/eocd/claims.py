@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .families import complete_bipartite, cycle, hypercube, path, predicted_eocd
+from .families import FAMILIES, complete_bipartite, cycle, hypercube, path
 from .graph import Graph, is_tree
 from .recognizer import _nested_candidate, recognize_empty_pd
 from .reduction import (
@@ -44,6 +44,13 @@ from .solver import (
 )
 from .trees import decompose, is_eocd_tree, random_eocd_tree, replay
 
+ORACLE_CORPUS = 10_000     # distinct random graphs of claim 6
+ORACLE_SEED = 20_260_826
+MAX_TREE_ORDER = 12        # claim 7 checks every tree up to this many vertices
+REDUCTION_RANDOM = 100     # random formulas claim 9 adds to the exhaustive ones
+REDUCTION_SEED = 31_337
+RECOGNIZER_SEED = 404      # random graphs of claim 11
+
 
 @dataclass(frozen=True)
 class ClaimResult:
@@ -70,54 +77,44 @@ def _result(number: int, name: str, started: float,
     return ClaimResult(number, name, True, detail_ok, elapsed)
 
 
+def _family_claim(number: int, name: str, family: str, instances, shown: str,
+                  detail_ok: str) -> ClaimResult:
+    """The solver against the family's EOCD rule in `FAMILIES` on each
+    parameter tuple; `shown` formats a tuple for the failure lines."""
+    started = time.perf_counter()
+    fam = FAMILIES[family]
+    failures = []
+    for params in instances:
+        got = find_eocd(fam.build(*params)) is not None
+        want = fam.eocd(*params)
+        if got != want:
+            failures.append(f"{shown.format(*params)}: solver says {got}, rule says {want}")
+    return _result(number, name, started, failures, detail_ok)
+
+
 def check_paths() -> ClaimResult:
     """P_n is an EOCD graph exactly when n is not 1 mod 4 (n in 2..30)."""
-    started = time.perf_counter()
-    failures = []
-    for n in range(2, 31):
-        got = find_eocd(path(n)) is not None
-        want = predicted_eocd("path", n)
-        if got != want:
-            failures.append(f"P_{n}: solver says {got}, rule says {want}")
-    return _result(1, "paths", started, failures, "n in 2..30 all match n % 4 != 1")
+    return _family_claim(1, "paths", "path", [(n,) for n in range(2, 31)], "P_{}",
+                         "n in 2..30 all match n % 4 != 1")
 
 
 def check_cycles() -> ClaimResult:
     """C_n is an EOCD graph exactly when 12 divides n (n in 3..36)."""
-    started = time.perf_counter()
-    failures = []
-    for n in range(3, 37):
-        got = find_eocd(cycle(n)) is not None
-        want = predicted_eocd("cycle", n)
-        if got != want:
-            failures.append(f"C_{n}: solver says {got}, rule says {want}")
-    return _result(2, "cycles", started, failures, "n in 3..36 all match n % 12 == 0")
+    return _family_claim(2, "cycles", "cycle", [(n,) for n in range(3, 37)], "C_{}",
+                         "n in 3..36 all match n % 12 == 0")
 
 
 def check_complete_bipartite() -> ClaimResult:
     """K_{r,t} is an EOCD graph exactly when one side is a single vertex."""
-    started = time.perf_counter()
-    failures = []
-    for r in range(1, 6):
-        for t in range(r, 6):
-            got = find_eocd(complete_bipartite(r, t)) is not None
-            want = predicted_eocd("complete_bipartite", r, t)
-            if got != want:
-                failures.append(f"K_{{{r},{t}}}: solver says {got}, rule says {want}")
-    return _result(3, "complete bipartite", started, failures,
-                   "1 <= r <= t <= 5 all match r == 1")
+    return _family_claim(3, "complete bipartite", "complete_bipartite",
+                         [(r, t) for r in range(1, 6) for t in range(r, 6)], "K_{{{},{}}}",
+                         "1 <= r <= t <= 5 all match r == 1")
 
 
 def check_hypercubes() -> ClaimResult:
     """Q_1 is an EOCD graph; Q_2, Q_3, Q_4 are not."""
-    started = time.perf_counter()
-    failures = []
-    for n in range(1, 5):
-        got = find_eocd(hypercube(n)) is not None
-        want = predicted_eocd("hypercube", n)
-        if got != want:
-            failures.append(f"Q_{n}: solver says {got}, rule says {want}")
-    return _result(4, "hypercubes", started, failures, "Q_1 yes, Q_2..Q_4 no")
+    return _family_claim(4, "hypercubes", "hypercube", [(n,) for n in range(1, 5)], "Q_{}",
+                         "Q_1 yes, Q_2..Q_4 no")
 
 
 def check_sierpinski() -> ClaimResult:
@@ -175,8 +172,7 @@ def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
-def check_oracle_equivalence(corpus_target: int = 10_000,
-                             seed: int = 20_260_826) -> ClaimResult:
+def check_oracle_equivalence() -> ClaimResult:
     """find_ecd / find_eod agree with naive subset enumeration on all
     graphs up to 6 vertices and a large non-isomorphic sample up to 8."""
     import networkx as nx
@@ -206,11 +202,11 @@ def check_oracle_equivalence(corpus_target: int = 10_000,
         check(g, f"atlas graph on {g.n} vertices, edges {sorted(g.edges())}")
         exhaustive += 1
 
-    rng = random.Random(seed)
+    rng = random.Random(ORACLE_SEED)
     seen: set[str] = set()
     sampled = 0
     attempts = 0
-    while sampled < corpus_target and attempts < 40 * corpus_target:
+    while sampled < ORACLE_CORPUS and attempts < 40 * ORACLE_CORPUS:
         attempts += 1
         n = 8 if attempts % 5 else 7
         g = _random_graph(rng, n, rng.choice([0.15, 0.3, 0.45, 0.6, 0.75, 0.9]))
@@ -221,31 +217,31 @@ def check_oracle_equivalence(corpus_target: int = 10_000,
             continue
         seen.add(key)
         sampled += 1
-        check(g, f"random graph #{sampled} (seed {seed})")
-    if sampled < corpus_target:
-        failures.append(f"only {sampled} of {corpus_target} distinct random graphs")
+        check(g, f"random graph #{sampled} (seed {ORACLE_SEED})")
+    if sampled < ORACLE_CORPUS:
+        failures.append(f"only {sampled} of {ORACLE_CORPUS} distinct random graphs")
     return _result(6, "oracle equivalence", started, failures,
                    f"{exhaustive} exhaustive (<= 6 vertices) + "
                    f"{sampled} distinct random (<= 8 vertices)")
 
 
-def _all_trees(max_order: int):
+def _all_trees():
     import networkx as nx
 
     yield Graph(1, [])
-    for order in range(2, max_order + 1):
+    for order in range(2, MAX_TREE_ORDER + 1):
         for T in nx.nonisomorphic_trees(order):
             relabel = {node: i for i, node in enumerate(sorted(T.nodes))}
             yield Graph(order, [(relabel[u], relabel[v]) for u, v in T.edges])
 
 
-def check_trees(max_order: int = 12) -> ClaimResult:
+def check_trees() -> ClaimResult:
     """is_eocd_tree matches the exact solver on every tree up to 12
     vertices, and decompose/replay round-trips each EOCD tree."""
     started = time.perf_counter()
     failures = []
     total = eocd_count = 0
-    for t in _all_trees(max_order):
+    for t in _all_trees():
         total += 1
         tag = f"tree n={t.n} edges={sorted(t.edges())}"
         res = is_eocd_tree(t)
@@ -271,7 +267,7 @@ def check_trees(max_order: int = 12) -> ClaimResult:
         elif not (is_eod_set(t, d2) and is_ecd_set(t, p2)):
             failures.append(f"{tag}: replayed certificate invalid")
     return _result(7, "trees", started, failures,
-                   f"{total} trees <= {max_order} vertices, {eocd_count} EOCD, "
+                   f"{total} trees <= {MAX_TREE_ORDER} vertices, {eocd_count} EOCD, "
                    "all round-tripped")
 
 
@@ -335,14 +331,14 @@ def _random_formula(rng: random.Random) -> CnfFormula:
     return CnfFormula(n_vars, tuple(clauses))
 
 
-def check_reduction(n_random: int = 100, seed: int = 31_337) -> ClaimResult:
+def check_reduction() -> ClaimResult:
     """The reduction graph is EOCD exactly when the formula has a
     one-in-three model, and witnesses translate both ways."""
     started = time.perf_counter()
     failures = []
-    rng = random.Random(seed)
+    rng = random.Random(REDUCTION_SEED)
     formulas = list(_exhaustive_formulas())
-    formulas += [_random_formula(rng) for _ in range(n_random)]
+    formulas += [_random_formula(rng) for _ in range(REDUCTION_RANDOM)]
     for idx, f in enumerate(formulas):
         tag = f"formula #{idx} ({f.n_vars} vars, {len(f.clauses)} clauses)"
         models = brute_force_one_in_three(f)
@@ -416,8 +412,8 @@ def star_forest(stars: int, leaves: int = 4) -> Graph:
     return Graph(stars * (leaves + 1), edges)
 
 
-def _recognizer_corpus(seed: int = 404):
-    rng = random.Random(seed)
+def _recognizer_corpus():
+    rng = random.Random(RECOGNIZER_SEED)
     for n in range(2, 15):
         yield f"P_{n}", path(n)
     for n in range(3, 15):

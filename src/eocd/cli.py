@@ -15,18 +15,11 @@ import sys
 import traceback
 
 from . import claims
-from .families import complete_bipartite, cycle, hypercube, path
-from .graph import (
-    Graph,
-    GraphError,
-    describe_violation,
-    dump_edge_list,
-    first_violation,
-    parse_edge_list,
-)
+from .families import FAMILIES
+from .graph import Graph, GraphError, certificate_violations, dump_edge_list, parse_edge_list
 from .recognizer import recognize_empty_pd
 from .reduction import FormulaError, assignment_from_witness, build_reduction, parse_dimacs
-from .sierpinski import sierpinski
+from .sierpinski import DEFAULT_MAX_VERTICES, sierpinski
 from .solver import (
     EocdCertificate,
     SearchMode,
@@ -42,8 +35,6 @@ from .trees import (
     random_eocd_tree,
     replay,
 )
-
-DEFAULT_MAX_VERTICES = 4096
 
 
 class UsageError(Exception):
@@ -62,12 +53,17 @@ def _max_vertices(args) -> int:
     return DEFAULT_MAX_VERTICES
 
 
-def _load_graph(args, fname: str) -> Graph:
+def _read(fname: str, parse):
+    """`parse` applied to the text of the file; an unreadable file is a usage error."""
     try:
         with open(fname, encoding="utf-8") as fh:
-            g = parse_edge_list(fh.read())
+            return parse(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read {fname}: {exc}")
+
+
+def _load_graph(args, fname: str) -> Graph:
+    g = _read(fname, parse_edge_list)
     cap = _max_vertices(args)
     if g.n > cap:
         raise UsageError(f"{fname} has {g.n} vertices, above --max-vertices {cap}")
@@ -89,10 +85,10 @@ def _show(args, g: Graph, vertices) -> str:
     return "[" + ", ".join(map(str, ids)) + "]"
 
 
-def _print_certificate(args, g: Graph, cert: EocdCertificate) -> None:
-    rec = cert.to_record()
-    for key in ("D", "P", "dp", "d_only", "p_only", "r"):
-        print(f"{key:7s} {_show(args, g, rec[key])}")
+def _print_sets(args, g: Graph, sets: dict) -> None:
+    """One line per named vertex set, such as `EocdCertificate.to_record()`."""
+    for key, vertices in sets.items():
+        print(f"{key:7s} {_show(args, g, vertices)}")
 
 
 def _parse_ids(text: str, n: int, flag: str) -> frozenset:
@@ -109,51 +105,30 @@ def _parse_ids(text: str, n: int, flag: str) -> frozenset:
 def _cmd_generate(args) -> int:
     cap = _max_vertices(args)
     kind, params = args.family, args.params
-    try:
-        values = [int(tok) for tok in params]
-    except ValueError:
-        if kind != "reduction":
-            raise UsageError(f"{kind} parameters must be integers, got {params}")
-        values = []
-    if kind == "path":
-        (n,) = _arity(kind, values, 1)
-        g = path(n)
-    elif kind == "cycle":
-        (n,) = _arity(kind, values, 1)
-        g = cycle(n)
-    elif kind == "complete-bipartite":
-        r, t = _arity(kind, values, 2)
-        g = complete_bipartite(r, t)
-    elif kind == "hypercube":
-        (n,) = _arity(kind, values, 1)
-        g = hypercube(n)
-    elif kind == "sierpinski":
-        p, n = _arity(kind, values, 2)
-        g = sierpinski(p, n, max_vertices=cap)
-    elif kind == "reduction":
+    if kind == "reduction":
         if len(params) != 1:
             raise UsageError("reduction takes one parameter: a CNF file")
-        g, _ = build_reduction(_load_formula(params[0]))
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown family {kind!r}")
+        g, _ = build_reduction(_read(params[0], parse_dimacs))
+    else:
+        try:
+            values = [int(tok) for tok in params]
+        except ValueError:
+            raise UsageError(f"{kind} parameters must be integers, got {params}")
+        family = FAMILIES.get(kind.replace("-", "_"))
+        arity = 2 if family is None else family.arity   # sierpinski takes p and n
+        if len(values) != arity:
+            raise UsageError(f"{kind} takes {arity} integer parameter(s), got {values}")
+        if family is None:
+            g = sierpinski(*values, max_vertices=cap)
+        else:
+            n = family.order(*values)
+            if n > cap:   # checked before building: hypercube 40 would not fit in memory
+                raise UsageError(f"generated graph has {n} vertices, above --max-vertices {cap}")
+            g = family.build(*values)
     if g.n > cap:
         raise UsageError(f"generated graph has {g.n} vertices, above --max-vertices {cap}")
     _write_output(args, dump_edge_list(g))
     return 0
-
-
-def _arity(kind: str, values: list[int], want: int) -> list[int]:
-    if len(values) != want:
-        raise UsageError(f"{kind} takes {want} integer parameter(s), got {values}")
-    return values
-
-
-def _load_formula(fname: str):
-    try:
-        with open(fname, encoding="utf-8") as fh:
-            return parse_dimacs(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read {fname}: {exc}")
 
 
 _MODES = {
@@ -173,7 +148,7 @@ def _cmd_solve(args) -> int:
     if cert is None:
         print(f"no EOCD certificate (mode {args.mode})")
         return 1
-    _print_certificate(args, g, cert)
+    _print_sets(args, g, cert.to_record())
     return 0
 
 
@@ -182,15 +157,14 @@ def _cmd_verify(args) -> int:
     d = _parse_ids(args.d, g.n, "--d")
     p = _parse_ids(args.p, g.n, "--p")
     ok = True
-    for name, kind, members, closed in (("D", "EOD", d, False), ("P", "ECD", p, True)):
-        bad = first_violation(range(g.n), g.neighbors, members, closed)
-        if bad is None:
+    for name, kind, problem in certificate_violations(range(g.n), g.neighbors, d, p):
+        if problem is None:
             print(f"{name}: valid {kind} set")
         else:
-            print(f"{name}: invalid — {describe_violation(*bad, name)}")
+            print(f"{name}: invalid — {problem}")
             ok = False
     if ok:
-        _print_certificate(args, g, EocdCertificate(g.n, d, p))
+        _print_sets(args, g, EocdCertificate(g.n, d, p).to_record())
     return 0 if ok else 1
 
 
@@ -200,7 +174,7 @@ def _cmd_recognize(args) -> int:
     if cert is None:
         print("no certificate with P contained in D")
         return 1
-    _print_certificate(args, g, cert)
+    _print_sets(args, g, cert.to_record())
     return 0
 
 
@@ -214,15 +188,9 @@ def _cmd_tree_decompose(args) -> int:
 
 
 def _cmd_tree_replay(args) -> int:
-    try:
-        with open(args.sequence, encoding="utf-8") as fh:
-            seq = TreeOpSequence.parse(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.sequence}: {exc}")
-    g, d, p = replay(seq)
+    g, d, p = replay(_read(args.sequence, TreeOpSequence.parse))
     _write_output(args, dump_edge_list(g))
-    print(f"D       {_show(args, g, d)}")
-    print(f"P       {_show(args, g, p)}")
+    _print_sets(args, g, {"D": d, "P": p})
     return 0
 
 
@@ -235,15 +203,14 @@ def _cmd_tree_random(args) -> int:
     if g.n > cap:
         raise UsageError(f"grown tree has {g.n} vertices, above --max-vertices {cap}")
     _write_output(args, dump_edge_list(g))
-    print(f"D       {_show(args, g, d)}")
-    print(f"P       {_show(args, g, p)}")
+    _print_sets(args, g, {"D": d, "P": p})
     print("sequence:")
     sys.stdout.write(seq.serialize())
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    f = _load_formula(args.cnf)
+    f = _read(args.cnf, parse_dimacs)
     g, _ = build_reduction(f)
     cap = _max_vertices(args)
     if g.n > cap:
@@ -258,7 +225,7 @@ def _cmd_reduce(args) -> int:
     if cert is None:
         print("no EOCD certificate: formula has no one-in-three model")
         return 1
-    _print_certificate(args, g, cert)
+    _print_sets(args, g, cert.to_record())
     if args.extract:
         assignment = assignment_from_witness(f, g, cert.d, cert.p)
         pretty = ", ".join(f"x{i + 1}={'T' if b else 'F'}"
@@ -268,6 +235,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    try:   # claims 6 and 7 draw their corpora from networkx, a test-only extra
+        import networkx  # noqa: F401
+    except ImportError:
+        raise UsageError("report paper-claims needs networkx (pip install networkx)")
     results = claims.run_all(report=lambda r: print(r.line, flush=True))
     failed = [r for r in results if not r.ok]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
@@ -280,14 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Efficient open/closed domination: solvers, generators, "
                     "tree operations, and the satisfiability reduction.")
     top.add_argument("--max-vertices", type=int, default=None,
-                     help="exact-search size guard (default 4096 or $EOCD_MAX_VERTICES)")
+                     help=f"exact-search size guard (default {DEFAULT_MAX_VERTICES} "
+                          "or $EOCD_MAX_VERTICES)")
     top.add_argument("--labels", action="store_true",
                      help="print vertex labels instead of ids where available")
     sub = top.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a family instance as an edge list")
-    g.add_argument("family", choices=["path", "cycle", "complete-bipartite",
-                                      "hypercube", "sierpinski", "reduction"])
+    g.add_argument("family", choices=[*(name.replace("_", "-") for name in FAMILIES),
+                                      "sierpinski", "reduction"])
     g.add_argument("params", nargs="*", help="family parameters (reduction: a CNF file)")
     g.add_argument("-o", "--output", help="output file (default stdout)")
     g.set_defaults(func=_cmd_generate)

@@ -1,11 +1,17 @@
 """Closed-form graph families and their EOCD predicates.
 
-The predicates are the ground truth the exact solver is checked against:
-paths are EOCD iff n != 1 (mod 4), cycles iff n == 0 (mod 12), complete
-bipartite graphs iff one side is a single vertex, hypercubes iff n == 1.
+`FAMILIES` is the one table of the four closed-form families: each entry
+gives the builder, its number of parameters, the vertex count the
+builder would produce and the family's EOCD rule.  The rules are the
+ground truth the exact solver is checked against: paths are EOCD iff
+n != 1 (mod 4), cycles iff n == 0 (mod 12), complete bipartite graphs iff
+one side is a single vertex, hypercubes iff n == 1.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 from .graph import Graph
 
@@ -38,18 +44,25 @@ def hypercube(n: int) -> Graph:
     return Graph(1 << n, edges, labels)
 
 
+@dataclass(frozen=True)
+class Family:
+    build: Callable[..., Graph]
+    arity: int                     # number of integer parameters
+    order: Callable[..., int]      # vertex count, known before building
+    eocd: Callable[..., bool]      # the closed-form EOCD rule
+
+
+FAMILIES = {
+    "path": Family(path, 1, lambda n: n, lambda n: n % 4 != 1),
+    "cycle": Family(cycle, 1, lambda n: n, lambda n: n % 12 == 0),
+    "complete_bipartite": Family(complete_bipartite, 2, lambda r, t: r + t,
+                                 lambda r, t: r == 1 or t == 1),
+    "hypercube": Family(hypercube, 1, lambda n: 2 ** n, lambda n: n == 1),
+}
+
+
 def predicted_eocd(family: str, *params: int) -> bool:
     """Closed-form EOCD truth value for a family instance."""
-    if family == "path":
-        (n,) = params
-        return n % 4 != 1
-    if family == "cycle":
-        (n,) = params
-        return n % 12 == 0
-    if family == "complete_bipartite":
-        r, t = params
-        return r == 1 or t == 1
-    if family == "hypercube":
-        (n,) = params
-        return n == 1
-    raise ValueError(f"unknown family {family!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return FAMILIES[family].eocd(*params)

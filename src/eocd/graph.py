@@ -66,14 +66,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def open_neighborhood(g: Graph, v: int) -> VertexSet:
-    return frozenset(g.neighbors(v))
-
-
-def closed_neighborhood(g: Graph, v: int) -> VertexSet:
-    return frozenset(g.neighbors(v)) | {v}
-
-
 def first_violation(vertices, nbrs, members, closed: bool):
     """The first vertex not covered exactly once, or None.
 
@@ -110,19 +102,16 @@ def describe_violation(x, via: list, name: str) -> str:
     return f"vertex {x} is doubly covered by {name} (via {via[0]} and {via[1]})"
 
 
-def bfs_distances(g: Graph, source: int) -> dict[int, int]:
-    """Shortest-path hop counts from source; unreachable vertices are absent."""
-    if not (0 <= source < g.n):
-        raise GraphError(f"source {source} outside 0..{g.n - 1}")
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+def certificate_violations(vertices, nbrs, d, p) -> Iterator[tuple[str, str, str | None]]:
+    """Check D as an EOD set, then P as an ECD set, by `first_violation`.
+
+    Yields (name, kind, problem) for "D", "EOD" and then "P", "ECD", where
+    problem is the `describe_violation` line, or None if the set is valid.
+    A caller that stops at the first problem leaves P unchecked.
+    """
+    for name, kind, members, closed in (("D", "EOD", d, False), ("P", "ECD", p, True)):
+        bad = first_violation(vertices, nbrs, members, closed)
+        yield name, kind, None if bad is None else describe_violation(*bad, name)
 
 
 def connected_components(g: Graph) -> list[VertexSet]:

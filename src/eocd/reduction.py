@@ -114,14 +114,6 @@ def clause_vertex(f: CnfFormula, j: int) -> int:
     return GADGET_SIZE * f.n_vars + j
 
 
-def build_gadget(i: int) -> tuple[Graph, dict[int, str]]:
-    """The 23-vertex variable gadget, with ids offset for variable i."""
-    edges = [(_OFF[a], _OFF[b]) for a, b in GADGET_EDGES]
-    names = {off: f"{name}_{i + 1}" for name, off in _OFF.items()}
-    g = Graph(GADGET_SIZE, edges, names)
-    return g, names
-
-
 def build_reduction(f: CnfFormula) -> tuple[Graph, dict[int, str]]:
     """The reduction graph: one gadget per variable, one vertex per clause."""
     n = GADGET_SIZE * f.n_vars + len(f.clauses)
@@ -153,10 +145,14 @@ def is_one_in_three(f: CnfFormula, assignment) -> bool:
                for clause in f.clauses)
 
 
-def brute_force_one_in_three(f: CnfFormula, max_vars: int = 24) -> list[tuple[bool, ...]]:
+ENUMERATION_GUARD = 24   # most variables brute_force_one_in_three enumerates
+
+
+def brute_force_one_in_three(f: CnfFormula) -> list[tuple[bool, ...]]:
     """All assignments with exactly one true literal per clause."""
-    if f.n_vars > max_vars:
-        raise FormulaError(f"{f.n_vars} variables exceed the enumeration guard {max_vars}")
+    if f.n_vars > ENUMERATION_GUARD:
+        raise FormulaError(
+            f"{f.n_vars} variables exceed the enumeration guard {ENUMERATION_GUARD}")
     out = []
     for bits in range(1 << f.n_vars):
         assignment = tuple(bool(bits >> v & 1) for v in range(f.n_vars))

@@ -16,7 +16,7 @@ from itertools import product
 
 from .graph import Graph, VertexSet
 
-DEFAULT_MAX_VERTICES = 4096
+DEFAULT_MAX_VERTICES = 4096   # also the CLI's default --max-vertices
 
 
 def _label(digits: tuple[int, ...], p: int) -> str:

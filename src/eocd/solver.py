@@ -29,8 +29,8 @@ from typing import Iterator
 from .graph import (
     Graph,
     VertexSet,
+    certificate_violations,
     connected_components,
-    describe_violation,
     first_violation,
     induced_subgraph,
 )
@@ -159,25 +159,6 @@ def _covers(n_primary: int, n_cols: int, rows) -> Iterator[list[int]]:
         descend = True
 
 
-def exact_covers(n: int, masks: dict[int, int]) -> Iterator[frozenset]:
-    """All exact covers of {0..n-1} by the given candidate masks.
-
-    Candidates are keyed by their center vertex; a solution is the set of
-    chosen centers.  Empty candidate masks never participate.
-    """
-    centers = [c for c in sorted(masks) if masks[c]]
-    rows = []
-    for c in centers:
-        bits, mm = [], masks[c]
-        while mm:
-            b = mm & -mm
-            bits.append(b.bit_length() - 1)
-            mm ^= b
-        rows.append(bits)
-    for sol in _covers(n, n, rows):
-        yield frozenset(centers[r] for r in sol)
-
-
 def iter_ecd_sets(g: Graph) -> Iterator[VertexSet]:
     rows = [(*g.neighbors(v), v) for v in range(g.n)]
     for sol in _covers(g.n, g.n, rows):
@@ -229,12 +210,10 @@ class EocdCertificate:
     def validate(self, g: Graph) -> None:
         if g.n != self.n:
             raise InvalidCertificateError(f"certificate is for n={self.n}, graph has n={g.n}")
-        for name, kind, members, closed in (("D", "EOD", self.d, False),
-                                            ("P", "ECD", self.p, True)):
-            bad = first_violation(range(g.n), g.neighbors, members, closed)
-            if bad is not None:
-                raise InvalidCertificateError(
-                    f"{name} is not an {kind} set: {describe_violation(*bad, name)}")
+        for name, kind, problem in certificate_violations(range(g.n), g.neighbors,
+                                                          self.d, self.p):
+            if problem:
+                raise InvalidCertificateError(f"{name} is not an {kind} set: {problem}")
 
     def to_record(self) -> dict:
         """Machine-readable form with sorted vertex-id arrays."""
@@ -389,9 +368,6 @@ class StructureReport:
     @property
     def all_pass(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
-
-    def failures(self) -> list[tuple[str, str]]:
-        return [(name, detail) for name, ok, detail in self.checks if not ok]
 
 
 def _is_disjoint_p4s(g: Graph, s) -> bool:

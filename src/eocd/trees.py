@@ -24,7 +24,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
-from .graph import Graph, VertexSet, describe_violation, first_violation, is_tree
+from .graph import Graph, VertexSet, certificate_violations, describe_violation, is_tree
 
 OP_ARITY = {"O1": 1, "O2": 3, "O3": 5, "O4": 1, "O5": 1}
 OP_ATTACH = {"O1": 1, "O2": 1, "O3": 1, "O4": 3, "O5": 6}
@@ -135,10 +135,9 @@ def _ids(fields: dict[str, str], key: str, count: int | None = None) -> tuple[in
 # labeled-tree internals
 
 def _check_cert(adj: dict, d: set, p: set, context: str) -> None:
-    for name, members, closed in (("D", d, False), ("P", p, True)):
-        bad = first_violation(adj, adj.__getitem__, members, closed)
-        if bad is not None:
-            raise OpPreconditionError(f"{context}: {describe_violation(*bad, name)}")
+    for _, _, problem in certificate_violations(adj, adj.__getitem__, d, p):
+        if problem:
+            raise OpPreconditionError(f"{context}: {problem}")
 
 
 def _check_step(adj: dict, d: set, p: set, touched, flips, context: str) -> None:
@@ -369,9 +368,30 @@ def _need(cond: bool, msg: str) -> None:
         raise DecomposeError(msg)
 
 
-def _inverse_step(adj, d, p, v, depth, root):
+def _smallest_plain_leaf(adj: dict, d: set, p: set, u, plain: dict):
+    """The smallest plain leaf on u (a leaf outside D and P, as O1 adds
+    them), or None, without rescanning u.
+
+    `plain[u]` lists u's plain leaves once, as negated ids in ascending
+    order (the smallest id last), and drops them as they are peeled.  No
+    vertex becomes a plain leaf of u later.  u lies in D and P, so its
+    neighbours other than its one D neighbour lie outside D and P.  A
+    child of u outside D has no leaf children, and u is reached only when
+    no leaf lies more than two levels below it, so every such child is a
+    leaf already; a parent outside D is peeled together with u.
+    """
+    if u not in plain:
+        plain[u] = sorted(-x for x in adj[u] if len(adj[x]) == 1 and x not in d and x not in p)
+    leaves = plain[u]
+    while leaves and -leaves[-1] not in adj:
+        leaves.pop()
+    return -leaves[-1] if leaves else None
+
+
+def _inverse_step(adj, d, p, v, depth, root, plain):
     """The operation whose inverse peels leaf v off, or raises
-    _Redirect(other leaf).  Its new vertices are the ones to remove."""
+    _Redirect(other leaf).  Its new vertices are the ones to remove;
+    `plain` is the cache of `_smallest_plain_leaf`."""
     (u,) = adj[v]
 
     if v not in p and v not in d:
@@ -382,11 +402,10 @@ def _inverse_step(adj, d, p, v, depth, root):
     if v in d and v not in p:
         # Case 2: v in D only, support u in D&P.
         _need(u in d and u in p, f"support {u} of leaf {v} must lie in D&P")
-        other_leaves = [x for x in adj[u]
-                        if x != v and len(adj[x]) == 1 and x not in d and x not in p]
         if len(adj[u]) > 2 or u == root:
-            _need(bool(other_leaves), f"support {u} has no removable second leaf")
-            raise _Redirect(min(other_leaves))
+            leaf = _smallest_plain_leaf(adj, d, p, u, plain)
+            _need(leaf is not None, f"support {u} has no removable second leaf")
+            raise _Redirect(leaf)
         x = _nbr_other(adj, u, v)
         if len(adj[x]) == 1 and x not in d and x not in p:
             # residual path x-u-v: x is the plain pendant to peel first
@@ -441,11 +460,11 @@ def _inverse_step(adj, d, p, v, depth, root):
     if wp not in d:
         # Subcase 4.1.1
         _need(xp in d, f"vertex {xp} must lie in D")
+        if len(adj[xp]) > 2:   # the removable extra children: xp's plain leaves
+            leaf = _smallest_plain_leaf(adj, d, p, xp, plain)
+            _need(leaf is not None, f"vertex {xp} has extra children but none removable")
+            raise _Redirect(leaf)
         below = [y for y in adj[xp] if y != wp]
-        if len(below) >= 2:
-            extra = [c for c in below if len(adj[c]) == 1 and c not in d and c not in p]
-            _need(bool(extra), f"vertex {xp} has extra children but none removable")
-            raise _Redirect(min(extra))
         _need(len(below) == 1, f"vertex {xp} must have a child in D")
         up_ = below[0]
         _need(up_ in d and up_ not in p, f"vertex {up_} must lie in D-P")
@@ -456,11 +475,10 @@ def _inverse_step(adj, d, p, v, depth, root):
         return TreeOpStep("O2", (z,), (wp, xp, up_))
     # Subcase 4.1.2: wp in D
     if xp in d:
-        below = [y for y in adj[xp] if y != wp]
-        if below:
-            extra = [c for c in below if len(adj[c]) == 1 and c not in d and c not in p]
-            _need(bool(extra), f"vertex {xp} has children but none removable")
-            raise _Redirect(min(extra))
+        if len(adj[xp]) > 1:   # the removable children: xp's plain leaves
+            leaf = _smallest_plain_leaf(adj, d, p, xp, plain)
+            _need(leaf is not None, f"vertex {xp} has children but none removable")
+            raise _Redirect(leaf)
         _need(len(adj[wp]) == 2, f"vertex {wp} must have degree 2")
         return TreeOpStep("O5", (u, x, w, z, wp, xp), (v,))
     _need(len(adj[xp]) == 1, f"vertex {xp} outside D must be a leaf")
@@ -492,6 +510,7 @@ def decompose(t: Graph, d, p) -> TreeOpSequence:
     _check_cert(adj, d, p, "decompose input")
     import heapq   # here, so that importing eocd does not load its C extension
     steps_rev: list[TreeOpStep] = []
+    plain: dict = {}   # see _smallest_plain_leaf
     root = None
     while len(adj) > 2:
         if root not in adj:
@@ -506,7 +525,7 @@ def decompose(t: Graph, d, p) -> TreeOpSequence:
         v = leaves[0][1]
         for _ in range(len(adj) + 1):
             try:
-                step = _inverse_step(adj, d, p, v, depth, root)
+                step = _inverse_step(adj, d, p, v, depth, root, plain)
                 break
             except _Redirect as r:
                 v = r.leaf

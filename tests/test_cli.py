@@ -1,5 +1,7 @@
 """Command-line interface end to end, via main(argv)."""
 
+import sys
+
 import pytest
 
 from eocd.cli import main
@@ -140,6 +142,14 @@ def test_max_vertices_guard(tmp_path, capsys):
     assert "max-vertices" in err
 
 
+def test_generate_checks_max_vertices_before_building(capsys):
+    # building P_2000000 takes seconds and Q_40 would exhaust memory
+    for family, param, n in (("path", "2000000", 2000000), ("hypercube", "40", 2 ** 40)):
+        code, text, err = run(capsys, "--max-vertices", "10", "generate", family, param)
+        assert code == 2 and text == ""
+        assert err == f"error: generated graph has {n} vertices, above --max-vertices 10\n"
+
+
 def test_max_vertices_env(tmp_path, capsys, monkeypatch):
     out = tmp_path / "p8.g"
     run(capsys, "generate", "path", "8", "-o", str(out))
@@ -164,6 +174,19 @@ def test_solve_long_path(tmp_path, capsys):
     code, text, err = run(capsys, "solve", str(out))
     assert code == 0, err
     assert text.startswith("D ") and "\nP " in text
+
+
+def test_report_without_networkx_is_a_usage_error(capsys, monkeypatch):
+    import eocd.claims
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a claim ran without networkx")
+
+    monkeypatch.setitem(sys.modules, "networkx", None)   # import networkx now fails
+    monkeypatch.setattr(eocd.claims, "run_all", ran)
+    code, text, err = run(capsys, "report", "paper-claims")
+    assert code == 2 and text == ""
+    assert err.count("\n") == 1 and "networkx" in err
 
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,6 @@
 import pytest
 
-from eocd.families import complete_bipartite, cycle, hypercube, path, predicted_eocd
+from eocd.families import FAMILIES, complete_bipartite, cycle, hypercube, path, predicted_eocd
 from eocd.solver import find_eocd
 
 
@@ -22,6 +22,14 @@ def test_generator_bounds():
         complete_bipartite(0, 3)
     with pytest.raises(ValueError):
         hypercube(0)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_table_vertex_count_matches_the_builder(family):
+    fam = FAMILIES[family]
+    for first in range(3, 7):
+        params = (first,) * fam.arity
+        assert fam.order(*params) == fam.build(*params).n
 
 
 def test_predicted_eocd_rules():

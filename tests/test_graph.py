@@ -4,15 +4,13 @@ from hypothesis import given, strategies as st
 from eocd.graph import (
     Graph,
     GraphError,
-    bfs_distances,
-    closed_neighborhood,
+    certificate_violations,
     connected_components,
     contract_edges,
     dump_edge_list,
     first_violation,
     induced_subgraph,
     is_tree,
-    open_neighborhood,
     parse_edge_list,
 )
 
@@ -31,18 +29,6 @@ def test_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(GraphError):
         Graph(3, [(1, 1)])
-
-
-def test_neighborhoods():
-    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert open_neighborhood(g, 0) == frozenset({1, 2, 3})
-    assert closed_neighborhood(g, 1) == frozenset({0, 1})
-
-
-def test_bfs_distances_skips_unreachable():
-    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    dist = bfs_distances(g, 0)
-    assert dist == {0: 0, 1: 1, 2: 2}
 
 
 def test_connected_components_ordering():
@@ -127,6 +113,15 @@ def test_first_violation_on_graphs_and_label_dicts():
     assert first_violation(adj, adj.__getitem__, {10, 20}, closed=False) is None
     assert first_violation(adj, adj.__getitem__, {20}, closed=True) == (0, [])
     assert first_violation(adj, adj.__getitem__, {20, 10}, closed=True) == (20, [10, 20])
+
+
+def test_certificate_violations_checks_d_then_p():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert list(certificate_violations(range(g.n), g.neighbors, {1, 2}, {0, 3})) == [
+        ("D", "EOD", None), ("P", "ECD", None)]
+    assert list(certificate_violations(range(g.n), g.neighbors, {1}, {0, 1})) == [
+        ("D", "EOD", "vertex 1 is uncovered by D"),
+        ("P", "ECD", "vertex 0 is doubly covered by P (via 0 and 1)")]
 
 
 def test_first_violation_rejects_ids_outside_the_graph():

@@ -12,7 +12,6 @@ from eocd.reduction import (
     FormulaError,
     assignment_from_witness,
     brute_force_one_in_three,
-    build_gadget,
     build_reduction,
     clause_vertex,
     gadget_vertex,
@@ -26,7 +25,7 @@ F1 = CnfFormula(3, (((0, True), (1, True), (2, True)),))
 
 
 def test_gadget_shape():
-    g, names = build_gadget(0)
+    g, names = build_reduction(CnfFormula(1, ()))   # one variable, no clauses
     assert g.n == GADGET_SIZE == 23
     assert g.m == len(GADGET_EDGES) == 30
     assert names[0] == "u_1"

@@ -13,7 +13,6 @@ from eocd.solver import (
     InvalidCertificateError,
     SearchMode,
     classify_partition,
-    exact_covers,
     find_ecd,
     find_eocd,
     find_eod,
@@ -62,7 +61,9 @@ def test_exact_covers_enumerates_all():
 
 
 def test_exact_covers_empty_universe():
-    assert list(exact_covers(0, {})) == [frozenset()]
+    empty = Graph(0, [])
+    assert list(iter_eod_sets(empty)) == [frozenset()]
+    assert list(iter_ecd_sets(empty)) == [frozenset()]
 
 
 def test_gamma_frozen_values():
@@ -126,7 +127,7 @@ def test_structure_report_on_valid_certificate():
     g = path(12)
     cert = find_eocd(g)
     report = classify_partition(g, cert)
-    assert report.all_pass, report.failures
+    assert report.all_pass, report.checks
 
 
 def _brute_min_dominating(g, closed):

@@ -237,7 +237,7 @@ def test_local_check_after_a_peel_names_the_vertex(monkeypatch):
     d, p = is_eocd_tree(t)
     assert (d, p) == ({1, 2}, {0, 3})
     monkeypatch.setattr(eocd.trees, "_inverse_step",
-                        lambda adj, d, p, v, depth, root: TreeOpStep("O1", (2,), (3,)))
+                        lambda *state: TreeOpStep("O1", (2,), (3,)))
     with pytest.raises(OpPreconditionError) as info:
         decompose(t, d, p)
     assert str(info.value) == "after inverse O1: vertex 2 is uncovered by P"
@@ -271,3 +271,26 @@ def test_ten_thousand_vertex_round_trip():
     assert g.n > 10000
     seq = decompose(g, d, p)
     assert _labeled(*replay(seq)) == _labeled(*replay(grown)) == _labeled(g, d, p)
+
+
+def test_ten_thousand_leaf_star_round_trip():
+    # every peel of the O1 star is redirected to the hub's smallest plain
+    # leaf, so the hub's neighbours must not be rescanned per peel
+    grown = TreeOpSequence([TreeOpStep("O1", (0,), (i,)) for i in range(2, 10_002)])
+    g, d, p = replay(grown)
+    seq = decompose(g, d, p)
+    assert [s.new for s in seq.steps] == [(i,) for i in range(10_001, 1, -1)]
+    assert _labeled(*replay(seq)) == _labeled(g, d, p)
+
+
+def test_o5_walk_end_with_many_leaves_round_trip():
+    # subcase 4.1.2 redirects every peel to the smallest plain leaf of the
+    # walk's end x', which must not be rescanned per peel either
+    _, _, _, grown = random_eocd_tree(40, 2)
+    xp = next(s for s in reversed(grown.steps) if s.op == "O5").attach[5]
+    n = replay(grown)[0].n
+    grown.steps += [TreeOpStep("O1", (xp,), (i,)) for i in range(n, n + 3000)]
+    g, d, p = replay(grown)
+    seq = decompose(g, d, p)
+    assert sum(s.op == "O1" and s.attach == (xp,) for s in seq.steps) == 3000
+    assert _labeled(*replay(seq)) == _labeled(g, d, p)
