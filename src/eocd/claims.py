@@ -32,7 +32,6 @@ from .sierpinski import (
 )
 from .solver import (
     SearchMode,
-    closed_masks,
     find_ecd,
     find_eocd,
     find_eod,
@@ -40,7 +39,6 @@ from .solver import (
     gamma_t,
     is_ecd_set,
     is_eod_set,
-    open_masks,
 )
 from .trees import decompose, is_eocd_tree, random_eocd_tree, replay
 
@@ -144,6 +142,18 @@ def check_sierpinski() -> ClaimResult:
         failures.append("S_4^3: EOD set size disagrees with the gamma_t formula")
     return _result(5, "sierpinski", started, failures,
                    "parity on 6 instances, EOD sets verified, gamma_t 4/6/16")
+
+
+def open_masks(g: Graph) -> list[int]:
+    masks = [0] * g.n
+    for v in range(g.n):
+        for w in g.neighbors(v):
+            masks[v] |= 1 << w
+    return masks
+
+
+def closed_masks(g: Graph) -> list[int]:
+    return [m | (1 << v) for v, m in enumerate(open_masks(g))]
 
 
 def _naive_exact_cover_exists(n: int, masks: list[int]) -> bool:

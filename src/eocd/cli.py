@@ -102,6 +102,12 @@ def _parse_ids(text: str, n: int, flag: str) -> frozenset:
     return ids
 
 
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:   # str() refuses integers of more than 4,300 digits: name those by 2^k
+        count = n if n.bit_length() < 14_000 else f"at least 2^{n.bit_length() - 1}"
+        raise UsageError(f"generated graph has {count} vertices, above --max-vertices {cap}")
+
+
 def _cmd_generate(args) -> int:
     cap = _max_vertices(args)
     kind, params = args.family, args.params
@@ -118,15 +124,11 @@ def _cmd_generate(args) -> int:
         arity = 2 if family is None else family.arity   # sierpinski takes p and n
         if len(values) != arity:
             raise UsageError(f"{kind} takes {arity} integer parameter(s), got {values}")
-        if family is None:
-            g = sierpinski(*values, max_vertices=cap)
-        else:
-            n = family.order(*values)
-            if n > cap:   # checked before building: hypercube 40 would not fit in memory
-                raise UsageError(f"generated graph has {n} vertices, above --max-vertices {cap}")
-            g = family.build(*values)
-    if g.n > cap:
-        raise UsageError(f"generated graph has {g.n} vertices, above --max-vertices {cap}")
+        # checked before building: hypercube 40 would not fit in memory
+        _check_cap(values[0] ** max(values[1], 0) if family is None else family.order(*values),
+                   cap)
+        g = sierpinski(*values, max_vertices=cap) if family is None else family.build(*values)
+    _check_cap(g.n, cap)
     _write_output(args, dump_edge_list(g))
     return 0
 

@@ -36,12 +36,16 @@ class Graph:
                 raise GraphError(f"self-loop ({u}, {v}) is not allowed")
             adj[u].add(v)
             adj[v].add(u)
+        for v in labels or ():
+            if not (0 <= v < n):
+                raise GraphError(f"label for unknown vertex {v}")
+        self._fill(n, adj, labels)
+
+    def _fill(self, n: int, adj: list[set[int]], labels) -> None:
+        """Set the fields from symmetric, loop-free adjacency sets on 0..n-1."""
         self.n = n
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
         self.labels: dict[int, str] = dict(labels) if labels else {}
-        for v in self.labels:
-            if not (0 <= v < n):
-                raise GraphError(f"label for unknown vertex {v}")
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -191,8 +195,8 @@ def parse_edge_list(text: str) -> Graph:
     Every error names the 1-based line it is about.
     """
     lines = text.splitlines()
-    head = n = m = 0   # head: the header's line number, 0 until it is read
-    edges = []
+    head = n = m = found = 0   # head: the header's line number, 0 until it is read
+    adj: list[set[int]] = []
     labels = {}
     try:
         for lineno, raw in enumerate(lines, 1):
@@ -206,6 +210,7 @@ def parse_edge_list(text: str) -> Graph:
                 n, m = int(tok[0]), int(tok[1])
                 if n < 0 or m < 0:
                     raise GraphError("header counts must be >= 0")
+                adj = [set() for _ in range(n)]
             elif tok[0] == "L":
                 if len(tok) != 3:
                     raise GraphError("a label line is 'L v name'")
@@ -219,11 +224,15 @@ def parse_edge_list(text: str) -> Graph:
                 u, v = int(tok[0]), int(tok[1])
                 if not (0 <= u < n and 0 <= v < n) or u == v:
                     raise GraphError(f"edge ({u}, {v}) is a self-loop or leaves 0..{n - 1}")
-                edges.append((u, v))
+                adj[u].add(v)
+                adj[v].add(u)
+                found += 1
     except ValueError as exc:   # GraphError, or int() on a non-integer
         raise GraphError(f"line {lineno}: {exc} in {' '.join(tok)!r}") from None
     if not head:
         raise GraphError(f"line {len(lines) + 1}: input ends before the header 'n m'")
-    if len(edges) != m:
-        raise GraphError(f"line {head}: header promises {m} edges, found {len(edges)}")
-    return Graph(n, edges, labels)
+    if found != m:
+        raise GraphError(f"line {head}: header promises {m} edges, found {found}")
+    g = Graph.__new__(Graph)   # every edge and label was checked on its line
+    g._fill(n, adj, labels)
+    return g

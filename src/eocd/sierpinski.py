@@ -61,8 +61,8 @@ def sierpinski(p: int, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
     if n < 0:
         raise ValueError(f"exponent n must be >= 0, got {n}")
     size = p ** n
-    if size > max_vertices:
-        raise ValueError(f"S_{p}^{n} has {size} vertices, above the cap {max_vertices}")
+    if size > max_vertices:   # not formatted: str() refuses more than 4,300 digits
+        raise ValueError(f"S_{p}^{n} has more than {max_vertices} vertices")
     labels = {_vid(dg, p): _label(dg, p) for dg in product(range(p), repeat=n)}
     return Graph(size, sorted(_direct_edges(p, n)), labels)
 

@@ -16,8 +16,8 @@ P-only and D&P rows that share a secondary "center" column, and a mode
 drops the rows it forbids.  Deciding EOCD is NP-complete, so every mode
 stays exponential in the worst case.
 
-Domination numbers gamma and gamma_t are computed exactly at desk scale
-by iterative deepening below a greedy upper bound.
+gamma and gamma_t are exact sums over the components: a linear DP on each
+tree, and a stack-based search up from a packing bound on the others.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .graph import (
     first_violation,
     induced_subgraph,
 )
+from .trees import min_tree_cover
 
 
 class SearchMode(enum.Enum):
@@ -48,18 +49,6 @@ class IsolatedVertexError(ValueError):
 
 class InvalidCertificateError(ValueError):
     pass
-
-
-def open_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for v in range(g.n):
-        for w in g.neighbors(v):
-            masks[v] |= 1 << w
-    return masks
-
-
-def closed_masks(g: Graph) -> list[int]:
-    return [m | (1 << v) for v, m in enumerate(open_masks(g))]
 
 
 def is_ecd_set(g: Graph, p) -> bool:
@@ -286,77 +275,76 @@ def find_eocd(g: Graph, mode: SearchMode = SearchMode.ANY) -> EocdCertificate | 
     return EocdCertificate(g.n, frozenset(d_set), frozenset(p_set))
 
 
-def _greedy_cover_bound(n: int, masks: list[int]) -> list[int] | None:
-    chosen = []
-    covered = 0
-    full = (1 << n) - 1
-    while covered != full:
-        best_v, best_gain = -1, 0
-        for v in range(n):
-            gain = bin(masks[v] & ~covered).count("1")
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        if best_gain == 0:
-            return None
-        chosen.append(best_v)
-        covered |= masks[best_v]
-    return chosen
+def _min_cover_size(g: Graph, verts, closed: bool) -> int:
+    """The fewest vertices whose open or closed neighborhoods cover the
+    component `verts` of g, which has a cycle; exact, exponential at worst.
 
-
-def _min_cover_size(n: int, masks: list[int]) -> int:
-    """Minimum number of masks whose union is the full vertex set.
-
-    Iterative deepening: for each target size, branch on the lowest
-    uncovered vertex over the candidates that cover it.
+    The supports (neighbors of leaves) are taken first: each lies in every
+    total dominating set, and a leaf in a dominating set can be swapped
+    for its support.  Deepening on the number of further vertices starts
+    at a packing bound: uncovered vertices with pairwise disjoint sets of
+    coverers need one each.  Bits are numbered by (number of coverers,
+    id), so the depth-first search, run from an explicit stack, branches
+    on the lowest uncovered bit, tries its coverers by how much they
+    cover, most first, and drops a state with more uncovered vertices
+    than the vertices left to pick times the largest neighborhood.
     """
-    if n == 0:
-        return 0
-    full = (1 << n) - 1
-    ub = _greedy_cover_bound(n, masks)
-    if ub is None:
-        raise ValueError("no cover exists")
-    cover_by: list[list[int]] = [[] for _ in range(n)]
-    for c, m in enumerate(masks):
-        mm = m
-        while mm:
-            b = mm & -mm
-            cover_by[b.bit_length() - 1].append(c)
-            mm ^= b
-    max_gain = max(bin(m).count("1") for m in masks)
+    rank = sorted(verts, key=lambda v: (g.degree(v), v))
+    bit = {v: 1 << i for i, v in enumerate(rank)}
+    nbhd = {v: (*g.neighbors(v), v) if closed else g.neighbors(v) for v in rank}
+    mask = {v: sum(bit[w] for w in nbhd[v]) for v in rank}
+    coverers = [[mask[w] for w in nbhd[v]] for v in rank]   # nbhd is symmetric
+    forced = {w for v in rank if g.degree(v) == 1 for w in g.neighbors(v)}
+    start = 0
+    for w in forced:
+        start |= mask[w]
+    bound, used = 0, set()
+    for v in rank:
+        if not start & bit[v] and used.isdisjoint(nbhd[v]):
+            used.update(nbhd[v])
+            bound += 1
+    full = (1 << len(rank)) - 1
+    widest = max(len(nb) for nb in nbhd.values())
+    k = bound
+    while True:
+        stack = [(start, k)]
+        while stack:
+            covered, left = stack.pop()
+            missing = full ^ covered
+            if not missing:
+                return len(forced) + k
+            if missing.bit_count() > left * widest:
+                continue
+            v = (missing & -missing).bit_length() - 1
+            # pushed last, popped first: the coverer that covers the most
+            stack.extend((covered | m, left - 1) for m in
+                         sorted(coverers[v], key=lambda m: (m & missing).bit_count()))
+        k += 1
 
-    def exists(covered: int, left: int) -> bool:
-        if covered == full:
-            return True
-        if left == 0:
-            return False
-        missing = bin(~covered & full).count("1")
-        if missing > left * max_gain:
-            return False
-        v = (~covered & full)
-        v = (v & -v).bit_length() - 1
-        for c in cover_by[v]:
-            if exists(covered | masks[c], left - 1):
-                return True
-        return False
 
-    for k in range(1, len(ub)):
-        if exists(0, k):
-            return k
-    return len(ub)
+def _domination_number(g: Graph, closed: bool) -> int:
+    """gamma (closed) or gamma_t (open) as a sum over the components: trees
+    by the linear `min_tree_cover`, the others by `_min_cover_size`."""
+    total = 0
+    for comp in connected_components(g):
+        if sum(map(g.degree, comp)) == 2 * (len(comp) - 1):
+            total += min_tree_cover({v: g.neighbors(v) for v in comp}, closed)
+        else:
+            total += _min_cover_size(g, comp, closed)
+    return total
 
 
 def gamma(g: Graph) -> int:
     """The domination number, computed exactly."""
-    return _min_cover_size(g.n, closed_masks(g))
+    return _domination_number(g, closed=True)
 
 
 def gamma_t(g: Graph) -> int:
     """The total domination number; errors out on isolated vertices."""
-    masks = open_masks(g)
-    for v, m in enumerate(masks):
-        if m == 0:
+    for v in range(g.n):
+        if not g.degree(v):
             raise IsolatedVertexError(f"vertex {v} is isolated; gamma_t is undefined")
-    return _min_cover_size(g.n, masks)
+    return _domination_number(g, closed=False)
 
 
 @dataclass

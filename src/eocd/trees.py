@@ -276,6 +276,12 @@ def _postorder(adj: dict, root) -> tuple[list, dict]:
     return order, depth
 
 
+def _rooted(adj: dict, root) -> tuple[list, dict]:
+    """`_postorder`'s vertex order and each vertex's children below root."""
+    order, depth = _postorder(adj, root)
+    return order, {x: [w for w in adj[x] if depth[w] > depth[x]] for x in order}
+
+
 def _tree_code(order: list, children: dict, closed: bool) -> set | None:
     """A set S whose open (closed=False) or closed neighborhoods partition
     the tree, or None; `order` lists children before parents.
@@ -321,13 +327,38 @@ def _tree_code(order: list, children: dict, closed: bool) -> set | None:
     return code
 
 
+def min_tree_cover(adj: dict, closed: bool) -> int:
+    """The fewest vertices whose open (closed=False) or closed neighborhoods
+    cover the tree `adj`: gamma_t or gamma, in linear time.
+
+    `_tree_code`'s states (s, need), but at least k = 1 - [closed and s] -
+    need children must lie in S.  cost[x][2 * s + need] is the fewest
+    vertices of S in the subtree of x: s, plus each child's cheaper state
+    under s, plus the cheapest "lift" of one child into S when k = 1.
+    """
+    order, children = _rooted(adj, next(iter(adj)))
+    inf = float("inf")
+    cost: dict = {}
+    for x in order:
+        c = cost[x] = [0] * 4
+        for s in (0, 1):
+            total, lift = s, inf
+            for y in children[x]:
+                out, into = cost[y][s], cost[y][2 + s]   # y outside S, y in S
+                total += min(out, into)
+                lift = min(lift, into - out if out < into else 0)   # no inf - inf
+            for need in (0, 1):
+                k = 1 - (closed and s) - need
+                c[2 * s + need] = total + lift if k == 1 else total
+    return min(cost[order[-1]][0], cost[order[-1]][2])
+
+
 def is_eocd_tree(t: Graph) -> tuple[VertexSet, VertexSet] | None:
     """A valid (D, P) pair for the tree, or None if it admits none."""
     if not is_tree(t):
         raise ValueError("input is not a tree")
     adj = _adj_of(t)
-    order, depth = _postorder(adj, 0)
-    children = {x: [w for w in adj[x] if depth[w] > depth[x]] for x in adj}
+    order, children = _rooted(adj, 0)
     d = _tree_code(order, children, closed=False)
     if d is None:
         return None

@@ -150,6 +150,15 @@ def test_generate_checks_max_vertices_before_building(capsys):
         assert err == f"error: generated graph has {n} vertices, above --max-vertices 10\n"
 
 
+def test_generate_cap_message_for_counts_past_the_digit_limit(capsys):
+    # 2^20000 and 10^5000 have more digits than str() converts
+    for args, bits in ((("hypercube", "20000"), 20000), (("sierpinski", "10", "5000"), 16609)):
+        code, text, err = run(capsys, "--max-vertices", "10", "generate", *args)
+        assert code == 2 and text == ""
+        assert err == (f"error: generated graph has at least 2^{bits} vertices, "
+                       "above --max-vertices 10\n")
+
+
 def test_max_vertices_env(tmp_path, capsys, monkeypatch):
     out = tmp_path / "p8.g"
     run(capsys, "generate", "path", "8", "-o", str(out))
@@ -171,9 +180,9 @@ def test_usage_errors(tmp_path, capsys):
 def test_solve_long_path(tmp_path, capsys):
     out = tmp_path / "p4000.g"
     assert run(capsys, "generate", "path", "4000", "-o", str(out))[0] == 0
-    code, text, err = run(capsys, "solve", str(out))
+    code, text, err = run(capsys, "solve", str(out), "--gamma", "--gamma-t")
     assert code == 0, err
-    assert text.startswith("D ") and "\nP " in text
+    assert text.startswith("gamma   1334\ngamma_t 2000\nD ") and "\nP " in text
 
 
 def test_report_without_networkx_is_a_usage_error(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from eocd.graph import Graph, GraphError
 from eocd.solver import (
     EocdCertificate,
     InvalidCertificateError,
+    IsolatedVertexError,
     SearchMode,
     classify_partition,
     find_ecd,
@@ -162,6 +163,66 @@ def test_gamma_t_matches_brute_force_when_defined(g):
     if any(g.degree(v) == 0 for v in range(g.n)):
         return  # total domination undefined with isolated vertices
     assert gamma_t(g) == _brute_min_dominating(g, closed=False)
+
+
+@st.composite
+def small_forests(draw):
+    """Forests on up to 12 vertices: each vertex hangs on an earlier one or
+    starts a new tree, so K1 and K2 components occur."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    edges = []
+    for v in range(1, n):
+        parent = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=v - 1)))
+        if parent is not None:
+            edges.append((parent, v))
+    return Graph(n, edges)
+
+
+@given(small_forests())
+@settings(max_examples=200, deadline=None)
+@example(Graph(1, []))                                    # K1
+@example(Graph(2, [(0, 1)]))                              # K2
+@example(Graph(5, [(0, 1), (2, 3), (3, 4)]))              # K2 + P3
+@example(Graph(6, [(0, 1), (1, 2), (1, 3), (4, 5)]))      # star + K2
+@example(Graph(4, [(0, 1), (1, 2)]))                      # P3 + an isolated vertex
+def test_forest_dominations_match_brute_force(g):
+    assert gamma(g) == _brute_min_dominating(g, closed=True)
+    if any(g.degree(v) == 0 for v in range(g.n)):
+        with pytest.raises(IsolatedVertexError):
+            gamma_t(g)
+    else:
+        assert gamma_t(g) == _brute_min_dominating(g, closed=False)
+
+
+def _comb(spine, tooth):
+    """A spine path with a pendant path of `tooth` vertices on each spine vertex."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    for s in range(spine):
+        tip = s
+        for j in range(tooth):
+            new = spine + s * tooth + j
+            edges.append((tip, new))
+            tip = new
+    return Graph(spine * (tooth + 1), edges)
+
+
+def test_paths_and_cycles_match_closed_forms():
+    def closed_forms(n):
+        return -(-n // 3), n // 2 + -(-n // 4) - n // 4   # gamma, gamma_t
+    for n in [*range(2, 101), 3997, 3998, 3999, 4000]:
+        assert (gamma(path(n)), gamma_t(path(n))) == closed_forms(n), n
+    for n in [*range(3, 101), 1197, 1198, 1199, 1200]:
+        assert (gamma(cycle(n)), gamma_t(cycle(n))) == closed_forms(n), n
+
+
+def test_comb_and_disjoint_triangles():
+    comb = _comb(14, 2)
+    assert (gamma(comb), gamma_t(comb)) == (14, 28)
+    k = 1365
+    triangles = Graph(3 * k, [(3 * i + a, 3 * i + b) for i in range(k)
+                              for a, b in ((0, 1), (1, 2), (0, 2))])
+    assert gamma(triangles) == k
+    assert gamma_t(triangles) == 2 * k
 
 
 @given(small_graphs())
