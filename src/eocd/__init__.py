@@ -27,9 +27,9 @@ from .solver import (
     gamma_t,
     is_ecd_set,
     is_eod_set,
+    recognize_empty_pd,
 )
 from .transforms import SplitPlan, TransformError, ecd_to_eod, eod_to_ecd
-from .recognizer import recognize_empty_pd
 from .trees import (
     DecomposeError,
     OpPreconditionError,

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: generate, solve, verify, recognize-empty-pd, tree
-(decompose / replay / random), reduce, report.  Exit codes: 0 the
-question was decided true / the artifact verified, 1 decided false or no
-certificate, 2 usage or input error, 3 internal error (a fault in eocd,
+Subcommands: generate, solve, verify, recognize-empty-pd (another name
+for `solve --mode empty-pd`), tree (decompose / replay / random), reduce,
+report.  Exit codes: 0 the question was decided true / the artifact
+verified, 1 decided false or no certificate, 2 usage, input or output
+error (a closed stdout included), 3 internal error (a fault in eocd,
 never a verdict).
 """
 
@@ -17,8 +18,13 @@ import traceback
 from . import claims
 from .families import FAMILIES
 from .graph import Graph, GraphError, certificate_violations, dump_edge_list, parse_edge_list
-from .recognizer import recognize_empty_pd
-from .reduction import FormulaError, assignment_from_witness, build_reduction, parse_dimacs
+from .reduction import (
+    GADGET_SIZE,
+    FormulaError,
+    assignment_from_witness,
+    build_reduction,
+    parse_dimacs,
+)
 from .sierpinski import DEFAULT_MAX_VERTICES, sierpinski
 from .solver import (
     EocdCertificate,
@@ -39,6 +45,11 @@ from .trees import (
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # one stderr line, like every other usage error
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _max_vertices(args) -> int:
@@ -63,19 +74,20 @@ def _read(fname: str, parse):
 
 
 def _load_graph(args, fname: str) -> Graph:
-    g = _read(fname, parse_edge_list)
-    cap = _max_vertices(args)
-    if g.n > cap:
-        raise UsageError(f"{fname} has {g.n} vertices, above --max-vertices {cap}")
-    return g
+    cap = _max_vertices(args)   # checked on the header's line, before any allocation
+    return _read(fname, lambda text: parse_edge_list(text, max_vertices=cap))
 
 
 def _write_output(args, text: str) -> None:
-    if getattr(args, "output", None):
+    """`text` to the -o file, or to stdout; an unwritable file is a usage error."""
+    if not getattr(args, "output", None):
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output}: {exc}")
 
 
 def _show(args, g: Graph, vertices) -> str:
@@ -102,10 +114,16 @@ def _parse_ids(text: str, n: int, flag: str) -> frozenset:
     return ids
 
 
-def _check_cap(n: int, cap: int) -> None:
+def _check_cap(n: int, cap: int, what: str = "generated graph") -> None:
     if n > cap:   # str() refuses integers of more than 4,300 digits: name those by 2^k
         count = n if n.bit_length() < 14_000 else f"at least 2^{n.bit_length() - 1}"
-        raise UsageError(f"generated graph has {count} vertices, above --max-vertices {cap}")
+        raise UsageError(f"{what} has {count} vertices, above --max-vertices {cap}")
+
+
+def _reduction_graph(f, cap: int) -> Graph:
+    # checked before building: `p cnf 10000000 0` would not fit in memory
+    _check_cap(GADGET_SIZE * f.n_vars + len(f.clauses), cap, "reduction graph")
+    return build_reduction(f)[0]
 
 
 def _cmd_generate(args) -> int:
@@ -114,7 +132,7 @@ def _cmd_generate(args) -> int:
     if kind == "reduction":
         if len(params) != 1:
             raise UsageError("reduction takes one parameter: a CNF file")
-        g, _ = build_reduction(_read(params[0], parse_dimacs))
+        g = _reduction_graph(_read(params[0], parse_dimacs), cap)
     else:
         try:
             values = [int(tok) for tok in params]
@@ -128,16 +146,8 @@ def _cmd_generate(args) -> int:
         _check_cap(values[0] ** max(values[1], 0) if family is None else family.order(*values),
                    cap)
         g = sierpinski(*values, max_vertices=cap) if family is None else family.build(*values)
-    _check_cap(g.n, cap)
     _write_output(args, dump_edge_list(g))
     return 0
-
-
-_MODES = {
-    "any": SearchMode.ANY,
-    "empty-dp": SearchMode.EMPTY_INTERSECTION,
-    "empty-pd": SearchMode.EMPTY_P_MINUS_D,
-}
 
 
 def _cmd_solve(args) -> int:
@@ -146,7 +156,7 @@ def _cmd_solve(args) -> int:
         print(f"gamma   {gamma(g)}")
     if args.gamma_t:
         print(f"gamma_t {gamma_t(g)}")
-    cert = find_eocd(g, _MODES[args.mode])
+    cert = find_eocd(g, SearchMode(args.mode))
     if cert is None:
         print(f"no EOCD certificate (mode {args.mode})")
         return 1
@@ -168,16 +178,6 @@ def _cmd_verify(args) -> int:
     if ok:
         _print_sets(args, g, EocdCertificate(g.n, d, p).to_record())
     return 0 if ok else 1
-
-
-def _cmd_recognize(args) -> int:
-    g = _load_graph(args, args.graph)
-    cert = recognize_empty_pd(g)
-    if cert is None:
-        print("no certificate with P contained in D")
-        return 1
-    _print_sets(args, g, cert.to_record())
-    return 0
 
 
 def _cmd_tree_decompose(args) -> int:
@@ -213,10 +213,7 @@ def _cmd_tree_random(args) -> int:
 
 def _cmd_reduce(args) -> int:
     f = _read(args.cnf, parse_dimacs)
-    g, _ = build_reduction(f)
-    cap = _max_vertices(args)
-    if g.n > cap:
-        raise UsageError(f"reduction graph has {g.n} vertices, above --max-vertices {cap}")
+    g = _reduction_graph(f, _max_vertices(args))
     if args.output:
         _write_output(args, dump_edge_list(g))
     if not (args.solve or args.extract):
@@ -248,7 +245,7 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="eocd",
         description="Efficient open/closed domination: solvers, generators, "
                     "tree operations, and the satisfiability reduction.")
@@ -268,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="search for an EOCD certificate")
     s.add_argument("graph")
-    s.add_argument("--mode", choices=sorted(_MODES), default="any")
+    s.add_argument("--mode", choices=[m.value for m in SearchMode], default="any")
     s.add_argument("--gamma", action="store_true", help="also print the domination number")
     s.add_argument("--gamma-t", action="store_true",
                    help="also print the total domination number")
@@ -281,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_verify)
 
     r = sub.add_parser("recognize-empty-pd",
-                       help="linear-time search for a certificate with P inside D")
+                       help="solve --mode empty-pd: the linear-time certificate with P inside D")
     r.add_argument("graph")
-    r.set_defaults(func=_cmd_recognize)
+    r.set_defaults(func=_cmd_solve, mode="empty-pd", gamma=False, gamma_t=False)
 
     t = sub.add_parser("tree", help="tree operations O1-O5")
     tsub = t.add_subparsers(dest="tree_command", required=True)
@@ -319,16 +316,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()   # so that a closed stdout raises here, not at interpreter exit
+        return code
+    except SystemExit:   # --help, the only exit left to argparse
+        return 0
     except (UsageError, GraphError, FormulaError, DecomposeError,
             OpPreconditionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:   # files go through _read and _write_output: this is stdout
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        try:   # as the signal module's SIGPIPE note advises: the final flush must not raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:   # io.UnsupportedOperation: a stdout without a file descriptor
+            pass
         return 2
     except Exception as exc:  # noqa: BLE001 - a fault must not read as "decided false"
         where = traceback.extract_tb(exc.__traceback__)[-1]

@@ -189,10 +189,11 @@ def dump_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, max_vertices: int | None = None) -> Graph:
     """Parse the edge-list format; `#` starts a comment, `L v name` sets a label.
 
-    Every error names the 1-based line it is about.
+    Every error names the 1-based line it is about.  A header with more
+    than `max_vertices` vertices is rejected before anything is allocated.
     """
     lines = text.splitlines()
     head = n = m = found = 0   # head: the header's line number, 0 until it is read
@@ -210,6 +211,8 @@ def parse_edge_list(text: str) -> Graph:
                 n, m = int(tok[0]), int(tok[1])
                 if n < 0 or m < 0:
                     raise GraphError("header counts must be >= 0")
+                if max_vertices is not None and n > max_vertices:
+                    raise GraphError(f"{n} vertices, above --max-vertices {max_vertices}")
                 adj = [set() for _ in range(n)]
             elif tok[0] == "L":
                 if len(tok) != 3:

@@ -9,12 +9,14 @@ keeps a live-row count per column, branches on the uncovered column with
 the fewest live rows (ties by smallest id) and tries rows in index
 order, so results are deterministic.
 
-`find_eod` and `find_ecd` cover the vertices by open or closed
-neighborhoods.  The constrained modes of `find_eocd` search D and P
-jointly, one connected component at a time: each vertex has D-only,
-P-only and D&P rows that share a secondary "center" column, and a mode
-drops the rows it forbids.  Deciding EOCD is NP-complete, so every mode
-stays exponential in the worst case.
+`find_eod` and `find_ecd` take the first cover by open or closed
+neighborhoods.  `find_eocd` answers EMPTY_P_MINUS_D with the linear
+`recognize_empty_pd`: a certificate with P inside D is forced (P the
+supports of leaves, D = P plus one leaf each), so it only has to be
+checked.  EMPTY_INTERSECTION searches D and P jointly, one connected
+component at a time: each vertex has a D row and a P row that share a
+secondary "center" column.  Deciding EOCD is NP-complete, so ANY and
+EMPTY_INTERSECTION stay exponential in the worst case.
 
 gamma and gamma_t are exact sums over the components: a linear DP on each
 tree, and a stack-based search up from a packing bound on the others.
@@ -148,24 +150,19 @@ def _covers(n_primary: int, n_cols: int, rows) -> Iterator[list[int]]:
         descend = True
 
 
-def iter_ecd_sets(g: Graph) -> Iterator[VertexSet]:
-    rows = [(*g.neighbors(v), v) for v in range(g.n)]
-    for sol in _covers(g.n, g.n, rows):
-        yield frozenset(sol)
-
-
-def iter_eod_sets(g: Graph) -> Iterator[VertexSet]:
-    rows = [g.neighbors(v) for v in range(g.n)]
+def iter_efficient_sets(g: Graph, closed: bool) -> Iterator[VertexSet]:
+    """Every ECD set (closed) or EOD set (open) of g, in a fixed order."""
+    rows = [(*g.neighbors(v), v) if closed else g.neighbors(v) for v in range(g.n)]
     for sol in _covers(g.n, g.n, rows):
         yield frozenset(sol)
 
 
 def find_ecd(g: Graph) -> VertexSet | None:
-    return next(iter_ecd_sets(g), None)
+    return next(iter_efficient_sets(g, closed=True), None)
 
 
 def find_eod(g: Graph) -> VertexSet | None:
-    return next(iter_eod_sets(g), None)
+    return next(iter_efficient_sets(g, closed=False), None)
 
 
 @dataclass(frozen=True)
@@ -216,24 +213,59 @@ class EocdCertificate:
         }
 
 
+def _nested_candidate(g: Graph) -> tuple[set[int], set[int]]:
+    """The only (D, P) pair with P inside D that g can have, unchecked.
+
+    Every K2 component carries D = both vertices and P = its smaller
+    vertex; elsewhere P must be the set of supports of leaves, and D is P
+    plus one leaf per support (the smallest).
+    """
+    d: set[int] = set()
+    p: set[int] = set()
+    for v in range(g.n):   # ascending, so each support takes its smallest leaf
+        if g.degree(v) != 1:
+            continue
+        (s,) = g.neighbors(v)
+        if g.degree(s) == 1:   # v and s form a K2 component
+            if v < s:
+                d.update((v, s))
+                p.add(v)
+        elif s not in p:
+            p.add(s)
+            d.update((s, v))
+    return d, p
+
+
+def recognize_empty_pd(g: Graph) -> EocdCertificate | None:
+    """Decide in O(n + m) whether g is an EOCD graph with empty P-D.
+
+    Accepts iff the forced candidate's P is an ECD set; by the
+    characterization, P is then an ECD set exactly when D is an EOD set.
+    """
+    d, p = _nested_candidate(g)
+    if not is_ecd_set(g, p):
+        return None
+    return EocdCertificate(g.n, frozenset(d), frozenset(p))
+
+
 def find_eocd(g: Graph, mode: SearchMode = SearchMode.ANY) -> EocdCertificate | None:
     """Search for an EOCD certificate under the given mode.
 
     In ANY mode D and P are independent (EOCD = EOD and ECD), so the
-    first EOD set and the first ECD set are searched separately.  The
-    constrained modes search D and P jointly, one connected component at
-    a time, since G's certificates are the unions of its components'.
-    A component's cover has two primary columns per vertex v, "v covered
-    once by D's open neighborhoods" and "v covered once by P's closed
-    neighborhoods", and up to three rows per vertex: v in D only (covers
-    N(v)), v in P only (covers N[v]), and v in both (covers both).  All
-    of v's rows share a secondary "center v" column, so at most one of
-    them is picked.  EMPTY_INTERSECTION drops the both-row and
-    EMPTY_P_MINUS_D drops the P-only row.  The search is iterative, so
-    its depth is not bounded by Python's recursion limit, but it stays
-    exponential in the worst case; no polynomial behavior is claimed for
-    EMPTY_INTERSECTION.
+    first EOD set and the first ECD set are searched separately.
+    EMPTY_P_MINUS_D is `recognize_empty_pd`, linear.  EMPTY_INTERSECTION
+    searches D and P jointly, one connected component at a time, since
+    G's certificates are the unions of its components'.  A component's
+    cover has two primary columns per vertex v, "v covered once by D's
+    open neighborhoods" and "v covered once by P's closed neighborhoods",
+    and two rows per vertex: row 2i puts the i-th vertex in D (covers
+    N(v)), row 2i + 1 puts it in P (covers N[v]).  Both share a secondary
+    "center v" column, so at most one of them is picked and D and P stay
+    disjoint.  The search is iterative, so its depth is not bounded by
+    Python's recursion limit, but it stays exponential in the worst case.
     """
+    if mode is SearchMode.EMPTY_P_MINUS_D:
+        return recognize_empty_pd(g)
     if mode is SearchMode.ANY:
         d = find_eod(g)
         if d is None:
@@ -242,36 +274,23 @@ def find_eocd(g: Graph, mode: SearchMode = SearchMode.ANY) -> EocdCertificate | 
         if p is None:
             return None
         return EocdCertificate(g.n, d, p)
-    disjoint = mode is SearchMode.EMPTY_INTERSECTION
     d_set: list[int] = []
     p_set: list[int] = []
     for comp in connected_components(g):
         verts = sorted(comp)
         k = len(verts)
         local = {v: i for i, v in enumerate(verts)}
-        rows, owner = [], []   # owner: (vertex, in D, in P) of each row
+        rows = []
         for i, v in enumerate(verts):
             opened = [local[w] for w in g.neighbors(v)]
-            closed = [k + j for j in opened]
-            closed.append(k + i)
             center = 2 * k + i
             rows.append(opened + [center])
-            owner.append((v, True, False))
-            if disjoint:
-                rows.append(closed + [center])
-                owner.append((v, False, True))
-            else:
-                rows.append(opened + closed + [center])
-                owner.append((v, True, True))
+            rows.append([k + j for j in opened] + [k + i, center])
         sol = next(_covers(2 * k, 3 * k, rows), None)
         if sol is None:
             return None
         for r in sol:
-            v, to_d, to_p = owner[r]
-            if to_d:
-                d_set.append(v)
-            if to_p:
-                p_set.append(v)
+            (p_set if r % 2 else d_set).append(verts[r // 2])
     return EocdCertificate(g.n, frozenset(d_set), frozenset(p_set))
 
 

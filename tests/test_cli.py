@@ -1,11 +1,17 @@
 """Command-line interface end to end, via main(argv)."""
 
+import io
+import os
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eocd.cli import main
-from eocd.graph import parse_edge_list
+from eocd.graph import dump_edge_list, parse_edge_list
+from eocd.trees import random_eocd_tree
 
 
 def run(capsys, *argv):
@@ -74,6 +80,17 @@ def test_recognize_empty_pd(tmp_path, capsys):
     c12 = tmp_path / "c12.g"
     run(capsys, "generate", "cycle", "12", "-o", str(c12))
     assert run(capsys, "recognize-empty-pd", str(c12))[0] == 1
+
+
+def test_recognize_empty_pd_is_solve_in_nested_mode(tmp_path, capsys):
+    for family, params in (("complete-bipartite", ("1", "3")), ("path", ("6",)),
+                           ("path", ("12",)), ("cycle", ("12",))):
+        out = tmp_path / "g.g"
+        run(capsys, "generate", family, *params, "-o", str(out))
+        solved = run(capsys, "solve", str(out), "--mode", "empty-pd")
+        assert run(capsys, "recognize-empty-pd", str(out)) == solved
+        if solved[0] == 1:
+            assert solved[1] == "no EOCD certificate (mode empty-pd)\n"
 
 
 def test_labels_flag(tmp_path, capsys):
@@ -159,6 +176,31 @@ def test_generate_cap_message_for_counts_past_the_digit_limit(capsys):
                        "above --max-vertices 10\n")
 
 
+def test_max_vertices_checked_on_the_header_line(tmp_path, capsys):
+    # the edge on line 2 is out of range too; the header must be refused first
+    big = tmp_path / "big.g"
+    big.write_text("5000 1\n0 99999\n")
+    code, text, err = run(capsys, "--max-vertices", "10", "solve", str(big))
+    assert code == 2 and text == ""
+    assert err.startswith("error: line 1: 5000 vertices, above --max-vertices 10")
+    assert err.count("\n") == 1
+
+
+def test_reduction_cap_checked_before_building(tmp_path, capsys, monkeypatch):
+    import eocd.cli
+
+    def build(*args):
+        raise AssertionError("build_reduction ran above the cap")
+
+    monkeypatch.setattr(eocd.cli, "build_reduction", build)
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_text("p cnf 1000 0\n")
+    for argv in (("reduce", str(cnf)), ("generate", "reduction", str(cnf))):
+        code, text, err = run(capsys, "--max-vertices", "10", *argv)
+        assert code == 2 and text == ""
+        assert err == "error: reduction graph has 23000 vertices, above --max-vertices 10\n"
+
+
 def test_max_vertices_env(tmp_path, capsys, monkeypatch):
     out = tmp_path / "p8.g"
     run(capsys, "generate", "path", "8", "-o", str(out))
@@ -175,6 +217,33 @@ def test_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.g"
     bad.write_text("this is not a graph\n")
     assert run(capsys, "solve", str(bad))[0] == 2
+    # argparse's own errors are one line, like every other usage error
+    code, text, err = run(capsys, "verify", str(bad), "--d", "-1,2", "--p", "0")
+    assert code == 2 and text == ""
+    assert err == "error: eocd verify: argument --d: expected one argument\n"
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_an_output_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "p12.g"
+    run(capsys, "generate", "path", "12", "-o", str(out))
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    for argv in (("solve", str(out)), ("generate", "path", "5")):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: cannot write standard output: [Errno 32] Broken pipe\n"
+
+
+def test_unwritable_output_file_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.g"
+    code, text, err = run(capsys, "generate", "path", "3", "-o", str(target))
+    assert code == 2 and text == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 def test_solve_long_path(tmp_path, capsys):
@@ -212,3 +281,95 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert text == ""
     assert err.startswith("internal error: RuntimeError: simulated fault")
     assert err.count("\n") == 1
+
+
+# Robustness: valid inputs of every kind, then mutated, through every
+# command that reads them.  Whatever the damage, the answer is a verdict
+# (0 or 1) or one usage line (2), never a traceback or an internal error.
+
+def _tree_inputs(seed, steps):
+    g, d, p, seq = random_eocd_tree(steps=steps, seed=seed)
+    d, p = (",".join(map(str, sorted(s))) for s in (d, p))
+    return dump_edge_list(g), d, p, seq.serialize()
+
+
+_TREES = [_tree_inputs(seed, steps) for seed, steps in ((6, 5), (10, 5), (55, 6), (2, 3))]
+_GRAPHS = [t[:3] for t in _TREES] + [
+    ("12 11\n" + "".join(f"{i} {i + 1}\n" for i in range(11)), "1,2,5,6,9,10", "1,4,7,10"),
+    ("4 3\n0 1\n1 2\n2 3\nL 0 a\nL 3 d\n# P4 with labels\n", "1,2", "0,3"),
+    ("6 6\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n", "0,1", "0,3"),
+]
+_FORMULAS = ["p cnf 2 0\n", "c one clause\np cnf 3 1\n1 -2 3 0\n", "p cnf 1 0\n"]
+_TOKENS = ["0", "1", "-1", "3", "63", "64", "65", "99999", "x", "L", "K2", "O1", "O5", "p",
+           "cnf", "attach=0", "new=", "v=0,0", "p=1", "#", "1,2", "0.5", ""]
+
+
+@st.composite
+def _mutated(draw, texts):
+    lines = draw(st.sampled_from(texts)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "dup", "alter", "drop-token", "dup-token",
+                                     "truncate"]))
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        tok = lines[i].split()
+        j = draw(st.integers(0, max(len(tok) - 1, 0)))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "dup":
+            lines.insert(i, lines[i])
+        elif kind == "truncate":
+            lines = lines[:i] + [lines[i][:draw(st.integers(0, len(lines[i])))]]
+        elif tok:
+            if kind == "alter":
+                tok[j] = draw(st.sampled_from(_TOKENS))
+            elif kind == "drop-token":
+                del tok[j]
+            else:
+                tok.insert(j, tok[j])
+            lines[i] = " ".join(tok)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@st.composite
+def _mutated_ids(draw, ids):
+    ids = ids.split(",")
+    i = draw(st.integers(0, len(ids) - 1))
+    kind = draw(st.sampled_from(["drop", "dup", "alter"]))
+    if kind == "drop":
+        del ids[i]
+    elif kind == "dup":
+        ids.insert(i, ids[i])
+    else:
+        ids[i] = draw(st.sampled_from(_TOKENS))
+    return ",".join(ids)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_inputs_never_raise(data):
+    text, d, p = data.draw(st.sampled_from(_GRAPHS))
+    edges = data.draw(st.one_of(_mutated([text]), st.just(text)))
+    d = data.draw(st.one_of(st.just(d), _mutated_ids(d)))
+    p = data.draw(st.one_of(st.just(p), _mutated_ids(p)))
+    cnf, ops = data.draw(_mutated(_FORMULAS)), data.draw(_mutated([t[3] for t in _TREES]))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, content in (("g.g", edges), ("f.cnf", cnf), ("seq.txt", ops)):
+            files[name] = os.path.join(tmp, name)
+            with open(files[name], "w", encoding="utf-8") as fh:
+                fh.write(content)
+        for argv in (("solve", files["g.g"]),
+                     ("verify", files["g.g"], "--d", d, "--p", p),
+                     ("reduce", files["f.cnf"], "--solve"),
+                     ("tree", "replay", files["seq.txt"]),
+                     ("tree", "decompose", files["g.g"], "--d", d, "--p", p)):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["--max-vertices", "64", *argv])
+            message = err.getvalue()
+            assert code in (0, 1, 2), (argv, code, message)
+            assert message.count("\n") == (message != ""), (argv, message)
+            assert message.endswith("\n") or not message
+            assert "internal error" not in message, (argv, message)

@@ -6,8 +6,14 @@ import time
 from eocd.claims import star_forest
 from eocd.families import complete_bipartite, cycle, path
 from eocd.graph import Graph
-from eocd.recognizer import _nested_candidate, recognize_empty_pd
-from eocd.solver import SearchMode, find_eocd, is_ecd_set, is_eod_set
+from eocd.solver import (
+    _nested_candidate,
+    find_eocd,
+    is_ecd_set,
+    is_eod_set,
+    iter_efficient_sets,
+    recognize_empty_pd,
+)
 
 
 def test_star_is_recognized():
@@ -54,9 +60,11 @@ def test_agrees_with_search_on_random_graphs():
         d, p = _nested_candidate(g)
         assert p <= d
         assert is_ecd_set(g, p) == is_eod_set(g, d), sorted(g.edges())
+        # the definition: some EOD set D and ECD set P with P inside D
+        ecds = list(iter_efficient_sets(g, closed=True))
+        nested = any(p <= d for d in iter_efficient_sets(g, closed=False) for p in ecds)
         fast = recognize_empty_pd(g)
-        slow = find_eocd(g, SearchMode.EMPTY_P_MINUS_D)
-        assert (fast is None) == (slow is None), sorted(g.edges())
+        assert (fast is not None) == nested, sorted(g.edges())
         if fast is not None:
             fast.validate(g)
 

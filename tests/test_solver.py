@@ -21,8 +21,7 @@ from eocd.solver import (
     gamma_t,
     is_ecd_set,
     is_eod_set,
-    iter_ecd_sets,
-    iter_eod_sets,
+    iter_efficient_sets,
 )
 
 PETERSEN = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -56,15 +55,15 @@ def test_exact_covers_enumerates_all():
     # C4: closed neighborhoods are all 3-sets, no exact cover;
     # open neighborhoods pair up opposite vertices.
     g = cycle(4)
-    assert list(iter_ecd_sets(g)) == []
-    eods = sorted(sorted(s) for s in iter_eod_sets(g))
+    assert list(iter_efficient_sets(g, closed=True)) == []
+    eods = sorted(sorted(s) for s in iter_efficient_sets(g, closed=False))
     assert eods == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
 
 def test_exact_covers_empty_universe():
     empty = Graph(0, [])
-    assert list(iter_eod_sets(empty)) == [frozenset()]
-    assert list(iter_ecd_sets(empty)) == [frozenset()]
+    assert list(iter_efficient_sets(empty, closed=False)) == [frozenset()]
+    assert list(iter_efficient_sets(empty, closed=True)) == [frozenset()]
 
 
 def test_gamma_frozen_values():
@@ -228,9 +227,9 @@ def test_comb_and_disjoint_triangles():
 @given(small_graphs())
 @settings(max_examples=150, deadline=None)
 def test_every_enumerated_set_is_valid(g):
-    for p in iter_ecd_sets(g):
+    for p in iter_efficient_sets(g, closed=True):
         assert is_ecd_set(g, p)
-    for d in iter_eod_sets(g):
+    for d in iter_efficient_sets(g, closed=False):
         assert is_eod_set(g, d)
 
 
