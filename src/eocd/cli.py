@@ -34,6 +34,7 @@ from .solver import (
     gamma_t,
 )
 from .trees import (
+    OP_ARITY,
     DecomposeError,
     OpPreconditionError,
     TreeOpSequence,
@@ -190,7 +191,10 @@ def _cmd_tree_decompose(args) -> int:
 
 
 def _cmd_tree_replay(args) -> int:
-    g, d, p = replay(_read(args.sequence, TreeOpSequence.parse))
+    seq = _read(args.sequence, TreeOpSequence.parse)
+    # checked before replay allocates the tree: K2 plus each step's new vertices
+    _check_cap(2 + sum(OP_ARITY[s.op] for s in seq.steps), _max_vertices(args), "replayed tree")
+    g, d, p = replay(seq)
     _write_output(args, dump_edge_list(g))
     _print_sets(args, g, {"D": d, "P": p})
     return 0

@@ -64,7 +64,7 @@ class Graph:
                     yield (u, v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in set(self._adj[u])
+        return v in self._adj[u]
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -3,9 +3,11 @@
 Every EOCD tree arises from K2 by a sequence of the local operations
 O1-O5, each of which extends a certified tree (T, D, P) and updates the
 certificate.  This module applies and replays such sequences, grows
-random ones, recognizes EOCD trees by one linear leaf-up DP run once for
-open and once for closed neighborhoods, and decomposes a certified tree
-into a sequence that replays to the identical labeled tree.
+random ones, and decomposes a certified tree into a sequence that replays
+to the identical labeled tree.  One linear leaf-up DP (`_leaf_up`), run
+for open and for closed neighborhoods, serves both tree questions: its
+exact mode recognizes EOCD trees and its minimum mode gives gamma_t and
+gamma.
 
 The certificate is checked in full where it enters (`apply_step`,
 `decompose`) and where `is_eocd_tree` returns it.  After each step only
@@ -258,7 +260,7 @@ def replay(seq: TreeOpSequence) -> tuple[Graph, VertexSet, VertexSet]:
 
 
 # ---------------------------------------------------------------------------
-# recognition: one leaf-up DP for open and closed neighborhoods
+# one leaf-up DP: efficient sets (is_eocd_tree) and fewest covers (gamma, gamma_t)
 
 def _postorder(adj: dict, root) -> tuple[list, dict]:
     """The vertices, children before parents, and their depths below root."""
@@ -276,97 +278,88 @@ def _postorder(adj: dict, root) -> tuple[list, dict]:
     return order, depth
 
 
-def _rooted(adj: dict, root) -> tuple[list, dict]:
-    """`_postorder`'s vertex order and each vertex's children below root."""
-    order, depth = _postorder(adj, root)
-    return order, {x: [w for w in adj[x] if depth[w] > depth[x]] for x in order}
-
-
-def _tree_code(order: list, children: dict, closed: bool) -> set | None:
-    """A set S whose open (closed=False) or closed neighborhoods partition
-    the tree, or None; `order` lists children before parents.
+def _leaf_up(adj: dict, root, closed: bool, exact: bool) -> tuple[dict, dict, dict]:
+    """The leaf-up DP over the tree `adj` rooted at `root`, for a set S
+    whose open (closed=False) or closed neighborhoods cover the tree.
 
     The state of x is (s, need): s = x lies in S, need = x's parent lies
-    in S, which then covers x.  Every child of x has need = s, and exactly
-    k = 1 - [closed and s] - need children lie in S, so k must be 0 or 1.
-    feas[x][2 * s + need] says whether the subtree of x admits the state.
+    in S, which then covers x.  Every child of x has need = s, and
+    k = 1 - [closed and s] - need children must lie in S: exactly k, with
+    every other child outside S, when `exact` (the neighborhoods partition
+    the tree, so k must be 0 or 1), or at least k otherwise.
+    cost[x][2 * s + need] is the fewest vertices of S in the subtree of x,
+    above len(adj) when the subtree admits no such state.  For a state with
+    k = 1, pick[x, s, need] is the child lifted into S: the first cheapest.
+    Returns cost, pick and each vertex's children.
     """
-    feas: dict = {}
-    pick: dict = {}   # (x, s, need) -> the child in S, for states with k = 1
+    order, depth = _postorder(adj, root)
+    # a cost of at least inf marks an infeasible state; inf is finite, so
+    # lifting the one child that cannot stay outside S cancels its cost
+    # (total - out + into) without inf - inf
+    inf = 2 * len(adj) + 1
+    cost: dict = {}
+    pick: dict = {}
+    children: dict = {}
     for x in order:
-        ch = children[x]
-        f = feas[x] = [False] * 4
+        ch = children[x] = [y for y in adj[x] if depth[y] > depth[x]]
+        c = cost[x] = [inf] * 4
         for s in (0, 1):
-            bad = [c for c in ch if not feas[c][s]]   # cannot take (0, s)
+            total, lift, one = s, inf, None
+            for y in ch:
+                cy = cost[y]
+                out, into = cy[s], cy[2 + s]   # y outside S, y in S
+                base = out if exact or out < into else into
+                total += base
+                if into - base < lift:
+                    lift, one = into - base, y
             for need in (0, 1):
                 k = 1 - (closed and s) - need
-                if k == 0:
-                    f[2 * s + need] = not bad
-                elif k == 1:
-                    # one_of: one child in (1, s), all others in (0, s)
-                    if not bad:
-                        one = next((c for c in ch if feas[c][2 + s]), None)
-                    elif len(bad) == 1 and feas[bad[0]][2 + s]:
-                        one = bad[0]
-                    else:
-                        one = None
-                    f[2 * s + need] = one is not None
+                if k == 1:
+                    c[2 * s + need] = total + lift
                     pick[x, s, need] = one
-    root = order[-1]
-    start = next((s for s in (1, 0) if feas[root][2 * s]), None)
-    if start is None:
-        return None
-    code: set = set()
-    stack = [(root, start, 0)]
-    while stack:
-        x, s, need = stack.pop()
-        if s:
-            code.add(x)
-        one = pick.get((x, s, need))
-        stack.extend((c, int(c == one), s) for c in children[x])
-    return code
+                elif k == 0 or not exact:
+                    c[2 * s + need] = total
+    return cost, pick, children
 
 
 def min_tree_cover(adj: dict, closed: bool) -> int:
     """The fewest vertices whose open (closed=False) or closed neighborhoods
-    cover the tree `adj`: gamma_t or gamma, in linear time.
-
-    `_tree_code`'s states (s, need), but at least k = 1 - [closed and s] -
-    need children must lie in S.  cost[x][2 * s + need] is the fewest
-    vertices of S in the subtree of x: s, plus each child's cheaper state
-    under s, plus the cheapest "lift" of one child into S when k = 1.
-    """
-    order, children = _rooted(adj, next(iter(adj)))
-    inf = float("inf")
-    cost: dict = {}
-    for x in order:
-        c = cost[x] = [0] * 4
-        for s in (0, 1):
-            total, lift = s, inf
-            for y in children[x]:
-                out, into = cost[y][s], cost[y][2 + s]   # y outside S, y in S
-                total += min(out, into)
-                lift = min(lift, into - out if out < into else 0)   # no inf - inf
-            for need in (0, 1):
-                k = 1 - (closed and s) - need
-                c[2 * s + need] = total + lift if k == 1 else total
-    return min(cost[order[-1]][0], cost[order[-1]][2])
+    cover the tree `adj`: gamma_t or gamma, from `_leaf_up`'s minimum table
+    in linear time."""
+    root = next(iter(adj))
+    cost = _leaf_up(adj, root, closed, exact=False)[0][root]
+    return min(cost[0], cost[2])
 
 
 def is_eocd_tree(t: Graph) -> tuple[VertexSet, VertexSet] | None:
-    """A valid (D, P) pair for the tree, or None if it admits none."""
+    """A valid (D, P) pair for the tree, or None if it admits none.
+
+    D and P are read off `_leaf_up`'s exact tables for open and closed
+    neighborhoods, rooted at 0.  All efficient sets of a graph have the
+    same size, so every feasible choice costs the same and the cheapest
+    is the first feasible one; a tie at the root puts 0 in the set.
+    """
     if not is_tree(t):
         raise ValueError("input is not a tree")
     adj = _adj_of(t)
-    order, children = _rooted(adj, 0)
-    d = _tree_code(order, children, closed=False)
-    if d is None:
-        return None
-    p = _tree_code(order, children, closed=True)
-    if p is None:
-        return None
+    codes = []
+    for closed in (False, True):
+        cost, pick, children = _leaf_up(adj, 0, closed, exact=True)
+        start = min((1, 0), key=lambda s: cost[0][2 * s])
+        if cost[0][2 * start] > t.n:
+            return None
+        code: set = set()
+        stack = [(0, start, 0)]
+        while stack:
+            x, s, need = stack.pop()
+            if s:
+                code.add(x)
+            one = pick.get((x, s, need))
+            stack.extend((y, int(y == one), s) for y in children[x])
+        codes.append(frozenset(code))
+    d, p = codes
     _check_cert(adj, d, p, "is_eocd_tree result")
-    return frozenset(d), frozenset(p)
+    return d, p
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,26 @@ def test_tree_random_rejects_steps_above_cap_before_growing(capsys, monkeypatch)
                "--seed", "1")[0] == 0
 
 
+def test_tree_replay_checks_max_vertices_before_replaying(tmp_path, capsys, monkeypatch):
+    import eocd.cli
+
+    def replay(seq):
+        raise AssertionError("replay ran above the cap")
+
+    seq = tmp_path / "seq.txt"
+    seq.write_text("".join(f"O1 attach=0 new={i}\n" for i in range(2, 40)))
+    out = tmp_path / "t.g"
+    with monkeypatch.context() as m:
+        m.setattr(eocd.cli, "replay", replay)
+        code, text, err = run(capsys, "--max-vertices", "10", "tree", "replay", str(seq),
+                              "-o", str(out))
+    assert code == 2 and text == ""
+    assert err == "error: replayed tree has 40 vertices, above --max-vertices 10\n"
+    assert not out.exists()
+    assert run(capsys, "--max-vertices", "40", "tree", "replay", str(seq), "-o", str(out))[0] == 0
+    assert parse_edge_list(out.read_text()).n == 40
+
+
 def test_reduce_solve_extract(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 1\n1 2 3 0\n")

@@ -266,6 +266,62 @@ def test_grow_and_decompose_are_pinned(steps, seed, n, grown, peeled):
     assert hashlib.sha256(decompose(g, d, p).serialize().encode()).hexdigest() == peeled
 
 
+def _rooted_trees(n):
+    """Every rooted tree on n vertices, root 0, once each: the level
+    sequences of Beyer and Hedetniemi (SIAM J. Comput. 9, 1980), each
+    vertex numbered in preorder and joined to the last vertex one level up."""
+    level = list(range(n))
+    while True:
+        last, edges = {}, []
+        for i, lv in enumerate(level):
+            if lv:
+                edges.append((last[lv - 1], i))
+            last[lv] = i
+        yield Graph(n, edges)
+        p = max((i for i in range(n) if level[i] > 1), default=None)
+        if p is None:
+            return
+        q = max(i for i in range(p) if level[i] == level[p] - 1)
+        for i in range(p, n):
+            level[i] = level[i - (p - q)]
+
+
+def _certificate_text(t):
+    res = is_eocd_tree(t)
+    if res is None:
+        return "none\n"
+    return " ".join(",".join(map(str, sorted(s))) for s in res) + "\n"
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of is_eocd_tree's certificates (sorted D, then sorted P, or
+# "none"), as the two-DP implementation computed them: they pin the tie
+# rule of the traceback, not only the existence of a certificate.
+CERTIFICATE_PINS = {
+    (12, 0): "1de900861267e1e9525bdd3bb5689eb1f28e0a0defbb4ea91a75d17687ba5c34",
+    (60, 1): "f52481f9702fdea02fac5ce4cb669abed273824370fe6e330afb66baaf24fbdd",
+    (250, 2): "3f1ab9a7c0da30db91c63b65d36af950cfba126ef3ac77f6bec845853c2207de",
+    (900, 3): "fd4c1ae0b94e9563f875e1f7e04e7f96411805d993618206c0731f204146f801",
+}
+
+
+@pytest.mark.parametrize("steps, seed", sorted(CERTIFICATE_PINS))
+def test_grown_tree_certificates_are_pinned(steps, seed):
+    g = random_eocd_tree(steps, seed)[0]
+    assert _sha(_certificate_text(g)) == CERTIFICATE_PINS[steps, seed]
+
+
+def test_small_tree_certificates_are_pinned():
+    trees = [t for n in range(1, 11) for t in _rooted_trees(n)]
+    assert len(trees) == 1205   # rooted trees on 1..10 vertices (OEIS A000081)
+    assert sum(_certificate_text(t) != "none\n" for t in trees) > 0
+    assert (_sha("".join(map(_certificate_text, trees)))
+            == "921ba7f5dcdd124d6f311de181be8bb354e7120d6ac51705f8e8306f6dc860ec")
+
+
 def test_ten_thousand_vertex_round_trip():
     g, d, p, grown = random_eocd_tree(steps=3000, seed=11)
     assert g.n > 10000
