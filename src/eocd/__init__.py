@@ -7,7 +7,6 @@ from .graph import (
     connected_components,
     contract_edges,
     dump_edge_list,
-    induced_subgraph,
     is_tree,
     parse_edge_list,
 )

@@ -19,13 +19,12 @@ from . import claims
 from .families import FAMILIES
 from .graph import Graph, GraphError, certificate_violations, dump_edge_list, parse_edge_list
 from .reduction import (
-    GADGET_SIZE,
     FormulaError,
     assignment_from_witness,
     build_reduction,
     parse_dimacs,
+    reduction_order,
 )
-from .sierpinski import DEFAULT_MAX_VERTICES, sierpinski
 from .solver import (
     EocdCertificate,
     SearchMode,
@@ -34,7 +33,6 @@ from .solver import (
     gamma_t,
 )
 from .trees import (
-    OP_ARITY,
     DecomposeError,
     OpPreconditionError,
     TreeOpSequence,
@@ -44,6 +42,9 @@ from .trees import (
 )
 
 
+DEFAULT_MAX_VERTICES = 4096
+
+
 class UsageError(Exception):
     pass
 
@@ -51,18 +52,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):   # one stderr line, like every other usage error
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _max_vertices(args) -> int:
-    if args.max_vertices is not None:
-        return args.max_vertices
-    env = os.environ.get("EOCD_MAX_VERTICES")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"EOCD_MAX_VERTICES={env!r} is not an integer")
-    return DEFAULT_MAX_VERTICES
 
 
 def _read(fname: str, parse):
@@ -75,8 +64,8 @@ def _read(fname: str, parse):
 
 
 def _load_graph(args, fname: str) -> Graph:
-    cap = _max_vertices(args)   # checked on the header's line, before any allocation
-    return _read(fname, lambda text: parse_edge_list(text, max_vertices=cap))
+    # checked on the header's line, before any allocation
+    return _read(fname, lambda text: parse_edge_list(text, max_vertices=args.max_vertices))
 
 
 def _write_output(args, text: str) -> None:
@@ -123,30 +112,32 @@ def _check_cap(n: int, cap: int, what: str = "generated graph") -> None:
 
 def _reduction_graph(f, cap: int) -> Graph:
     # checked before building: `p cnf 10000000 0` would not fit in memory
-    _check_cap(GADGET_SIZE * f.n_vars + len(f.clauses), cap, "reduction graph")
+    _check_cap(reduction_order(f), cap, "reduction graph")
     return build_reduction(f)[0]
 
 
 def _cmd_generate(args) -> int:
-    cap = _max_vertices(args)
     kind, params = args.family, args.params
     if kind == "reduction":
         if len(params) != 1:
             raise UsageError("reduction takes one parameter: a CNF file")
-        g = _reduction_graph(_read(params[0], parse_dimacs), cap)
+        g = _reduction_graph(_read(params[0], parse_dimacs), args.max_vertices)
     else:
         try:
             values = [int(tok) for tok in params]
         except ValueError:
             raise UsageError(f"{kind} parameters must be integers, got {params}")
-        family = FAMILIES.get(kind.replace("-", "_"))
-        arity = 2 if family is None else family.arity   # sierpinski takes p and n
-        if len(values) != arity:
-            raise UsageError(f"{kind} takes {arity} integer parameter(s), got {values}")
+        family = FAMILIES[kind.replace("-", "_")]
+        if len(values) != family.arity:
+            raise UsageError(f"{kind} takes {family.arity} integer parameter(s), got {values}")
         # checked before building: hypercube 40 would not fit in memory
-        _check_cap(values[0] ** max(values[1], 0) if family is None else family.order(*values),
-                   cap)
-        g = sierpinski(*values, max_vertices=cap) if family is None else family.build(*values)
+        _check_cap(family.order(*values), args.max_vertices)
+        # no graph within the cap needs more; S_1^n has one vertex, n digits long
+        big = [v for v in values if v > args.max_vertices]
+        if big:
+            raise UsageError(f"{kind} parameter {big[0]} is above --max-vertices "
+                             f"{args.max_vertices}")
+        g = family.build(*values)
     _write_output(args, dump_edge_list(g))
     return 0
 
@@ -191,9 +182,9 @@ def _cmd_tree_decompose(args) -> int:
 
 
 def _cmd_tree_replay(args) -> int:
-    seq = _read(args.sequence, TreeOpSequence.parse)
-    # checked before replay allocates the tree: K2 plus each step's new vertices
-    _check_cap(2 + sum(OP_ARITY[s.op] for s in seq.steps), _max_vertices(args), "replayed tree")
+    # checked on the line that crosses the cap, before the rest is parsed
+    seq = _read(args.sequence,
+                lambda text: TreeOpSequence.parse(text, max_vertices=args.max_vertices))
     g, d, p = replay(seq)
     _write_output(args, dump_edge_list(g))
     _print_sets(args, g, {"D": d, "P": p})
@@ -201,7 +192,7 @@ def _cmd_tree_replay(args) -> int:
 
 
 def _cmd_tree_random(args) -> int:
-    cap = _max_vertices(args)
+    cap = args.max_vertices
     if args.steps + 2 > cap:   # every step adds at least one vertex to K2
         raise UsageError(f"--steps {args.steps} grows at least {args.steps + 2} vertices, "
                          f"above --max-vertices {cap}")
@@ -217,7 +208,7 @@ def _cmd_tree_random(args) -> int:
 
 def _cmd_reduce(args) -> int:
     f = _read(args.cnf, parse_dimacs)
-    g = _reduction_graph(f, _max_vertices(args))
+    g = _reduction_graph(f, args.max_vertices)
     if args.output:
         _write_output(args, dump_edge_list(g))
     if not (args.solve or args.extract):
@@ -253,16 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eocd",
         description="Efficient open/closed domination: solvers, generators, "
                     "tree operations, and the satisfiability reduction.")
-    top.add_argument("--max-vertices", type=int, default=None,
-                     help=f"exact-search size guard (default {DEFAULT_MAX_VERTICES} "
-                          "or $EOCD_MAX_VERTICES)")
+    top.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
+                     help=f"exact-search size guard (default {DEFAULT_MAX_VERTICES})")
     top.add_argument("--labels", action="store_true",
                      help="print vertex labels instead of ids where available")
     sub = top.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a family instance as an edge list")
     g.add_argument("family", choices=[*(name.replace("_", "-") for name in FAMILIES),
-                                      "sierpinski", "reduction"])
+                                      "reduction"])
     g.add_argument("params", nargs="*", help="family parameters (reduction: a CNF file)")
     g.add_argument("-o", "--output", help="output file (default stdout)")
     g.set_defaults(func=_cmd_generate)

@@ -1,11 +1,12 @@
 """Closed-form graph families and their EOCD predicates.
 
-`FAMILIES` is the one table of the four closed-form families: each entry
+`FAMILIES` is the one table of the five closed-form families: each entry
 gives the builder, its number of parameters, the vertex count the
 builder would produce and the family's EOCD rule.  The rules are the
 ground truth the exact solver is checked against: paths are EOCD iff
 n != 1 (mod 4), cycles iff n == 0 (mod 12), complete bipartite graphs iff
-one side is a single vertex, hypercubes iff n == 1.
+one side is a single vertex, hypercubes iff n == 1, and Sierpinski graphs
+S_p^n (p >= 3, n >= 2) iff p is even.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graph import Graph
+from .sierpinski import sierpinski, sierpinski_is_eocd
 
 
 def path(n: int) -> Graph:
@@ -44,11 +46,26 @@ def hypercube(n: int) -> Graph:
     return Graph(1 << n, edges, labels)
 
 
+_POWER_BITS = 1 << 16   # base ** exp past 2^_POWER_BITS reads as 2^_POWER_BITS
+
+
+def _power(base: int, exp: int) -> int:
+    """base ** exp, the vertex count of Q_n and S_p^n; 0 for parameters the
+    builder refuses.  A power that base >= 2^(bit_length - 1) puts past
+    2^_POWER_BITS reads as that lower bound, so no power computed here has
+    more than 2 * _POWER_BITS bits."""
+    if base < 1 or exp < 0:
+        return 0
+    if exp * (base.bit_length() - 1) >= _POWER_BITS:   # 2^(bit_length - 1) <= base
+        return 1 << _POWER_BITS
+    return base ** exp
+
+
 @dataclass(frozen=True)
 class Family:
     build: Callable[..., Graph]
     arity: int                     # number of integer parameters
-    order: Callable[..., int]      # vertex count, known before building
+    order: Callable[..., int]      # vertex count, known before building (see _power)
     eocd: Callable[..., bool]      # the closed-form EOCD rule
 
 
@@ -57,7 +74,8 @@ FAMILIES = {
     "cycle": Family(cycle, 1, lambda n: n, lambda n: n % 12 == 0),
     "complete_bipartite": Family(complete_bipartite, 2, lambda r, t: r + t,
                                  lambda r, t: r == 1 or t == 1),
-    "hypercube": Family(hypercube, 1, lambda n: 2 ** n, lambda n: n == 1),
+    "hypercube": Family(hypercube, 1, lambda n: _power(2, n), lambda n: n == 1),
+    "sierpinski": Family(sierpinski, 2, _power, sierpinski_is_eocd),
 }
 
 

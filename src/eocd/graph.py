@@ -169,18 +169,6 @@ def contract_edges(g: Graph, matching: list[tuple[int, int]]) -> tuple[Graph, di
     return Graph(len(new_id), sorted(edges)), vmap
 
 
-def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by s; returns it with the map new id -> old id."""
-    old = sorted(set(s))
-    for v in old:
-        if not (0 <= v < g.n):
-            raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
-    pos = {v: i for i, v in enumerate(old)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
-    labels = {pos[v]: g.labels[v] for v in old if v in g.labels}
-    return Graph(len(old), edges, labels), dict(enumerate(old))
-
-
 def dump_edge_list(g: Graph) -> str:
     """Edge-list text: `n m` header, one `u v` line per edge, then labels."""
     lines = [f"{g.n} {g.m}"]

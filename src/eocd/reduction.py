@@ -114,9 +114,13 @@ def clause_vertex(f: CnfFormula, j: int) -> int:
     return GADGET_SIZE * f.n_vars + j
 
 
+def reduction_order(f: CnfFormula) -> int:
+    """The number of vertices of f's reduction graph, known before building."""
+    return GADGET_SIZE * f.n_vars + len(f.clauses)
+
+
 def build_reduction(f: CnfFormula) -> tuple[Graph, dict[int, str]]:
     """The reduction graph: one gadget per variable, one vertex per clause."""
-    n = GADGET_SIZE * f.n_vars + len(f.clauses)
     edges = []
     labels = {}
     for i in range(f.n_vars):
@@ -128,7 +132,7 @@ def build_reduction(f: CnfFormula) -> tuple[Graph, dict[int, str]]:
         labels[y] = f"y_{j + 1}"
         for var, pol in clause:
             edges.append((y, gadget_vertex(var, "u" if pol else "ub")))
-    return Graph(n, edges, labels), labels
+    return Graph(reduction_order(f), edges, labels), labels
 
 
 # per-variable witness pieces: always in D / P, plus the true/false branches
@@ -163,13 +167,12 @@ def brute_force_one_in_three(f: CnfFormula) -> list[tuple[bool, ...]]:
 
 def witness_from_assignment(f: CnfFormula, assignment) -> EocdCertificate:
     """Build the (D, P) certificate of the reduction graph from a
-    one-in-three satisfying assignment."""
+    one-in-three satisfying assignment, without building the graph."""
     assignment = tuple(bool(b) for b in assignment)
     if len(assignment) != f.n_vars:
         raise FormulaError(f"assignment covers {len(assignment)} of {f.n_vars} variables")
     if not is_one_in_three(f, assignment):
         raise FormulaError("assignment is not one-in-three satisfying")
-    g, _ = build_reduction(f)
     d: set[int] = set()
     p: set[int] = set()
     for i, value in enumerate(assignment):
@@ -177,9 +180,7 @@ def witness_from_assignment(f: CnfFormula, assignment) -> EocdCertificate:
         p.update(gadget_vertex(i, nm) for nm in _P_ALWAYS)
         d.update(gadget_vertex(i, nm) for nm in (_D_TRUE if value else _D_FALSE))
         p.update(gadget_vertex(i, nm) for nm in (_P_TRUE if value else _P_FALSE))
-    cert = EocdCertificate(g.n, frozenset(d), frozenset(p))
-    cert.validate(g)
-    return cert
+    return EocdCertificate(reduction_order(f), frozenset(d), frozenset(p))
 
 
 def assignment_from_witness(f: CnfFormula, g: Graph, d, p) -> tuple[bool, ...]:

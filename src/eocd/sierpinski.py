@@ -8,6 +8,9 @@ the tests compare it with the recursive edge definition.
 Parity characterization: for p >= 3, n >= 2, S_p^n is an EOCD graph iff p is
 even; for even p an explicit EOD set of size p^(n-1) exists, which also
 pins down gamma_t.
+
+`sierpinski` builds S_p^n of any size; `eocd generate` checks its p^n
+vertices, from the family table `eocd.families.FAMILIES`, first.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 from itertools import product
 
 from .graph import Graph, VertexSet
-
-DEFAULT_MAX_VERTICES = 4096   # also the CLI's default --max-vertices
 
 
 def _label(digits: tuple[int, ...], p: int) -> str:
@@ -54,17 +55,14 @@ def _direct_edges(p: int, n: int) -> set[tuple[int, int]]:
     return edges
 
 
-def sierpinski(p: int, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
+def sierpinski(p: int, n: int) -> Graph:
     """S_p^n with digit-string labels; p >= 1, n >= 0."""
     if p < 1:
         raise ValueError(f"base p must be >= 1, got {p}")
     if n < 0:
         raise ValueError(f"exponent n must be >= 0, got {n}")
-    size = p ** n
-    if size > max_vertices:   # not formatted: str() refuses more than 4,300 digits
-        raise ValueError(f"S_{p}^{n} has more than {max_vertices} vertices")
     labels = {_vid(dg, p): _label(dg, p) for dg in product(range(p), repeat=n)}
-    return Graph(size, sorted(_direct_edges(p, n)), labels)
+    return Graph(p ** n, sorted(_direct_edges(p, n)), labels)
 
 
 def sierpinski_eod_set(p: int, n: int) -> VertexSet:

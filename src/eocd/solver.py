@@ -30,11 +30,11 @@ from typing import Iterator
 
 from .graph import (
     Graph,
+    GraphError,
     VertexSet,
     certificate_violations,
     connected_components,
     first_violation,
-    induced_subgraph,
 )
 from .trees import min_tree_cover
 
@@ -451,10 +451,12 @@ def check_empty_dp_characterization(g: Graph, a) -> bool:
     degree-2 vertex of <A>.
     """
     a = frozenset(a)
-    sub, vmap = induced_subgraph(g, a)
-    if sub.n % 4 != 0 or not _is_disjoint_p4s(sub, range(sub.n)):
+    for v in a:
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
+    if not _is_disjoint_p4s(g, a):
         return False
-    deg_in_a = {vmap[i]: sub.degree(i) for i in range(sub.n)}
+    deg_in_a = {v: sum(1 for w in g.neighbors(v) if w in a) for v in a}
     for v in range(g.n):
         if v in a:
             continue

@@ -5,11 +5,14 @@ into an ECD graph whose code is the set of contraction vertices.  In the
 other direction, splitting every code vertex of an ECD graph into two
 adjacent vertices (wiring its neighbors to either side) produces an EOD
 graph.
+
+Each transform checks its input set and plan; that it returns an ECD code
+or an EOD set is what the construction proves, and what the tests check.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError, VertexSet, contract_edges
+from .graph import Graph, VertexSet, contract_edges
 from .solver import is_ecd_set, is_eod_set
 
 # Split plan: code vertex -> (A, B), a partition of its neighborhood.
@@ -28,16 +31,11 @@ def eod_to_ecd(g: Graph, d) -> tuple[Graph, VertexSet]:
         raise TransformError(f"{sorted(d)} is not an EOD set")
     matching = []
     for v in sorted(d):
-        inside = [w for w in g.neighbors(v) if w in d]
-        if len(inside) != 1:
-            raise RuntimeError(f"EOD set does not induce a perfect matching at vertex {v}")
-        if v < inside[0]:
-            matching.append((v, inside[0]))
-    contracted, vmap = contract_edges(g, matching)  # triangle-freeness re-checked here
-    code = frozenset(vmap[u] for u, _ in matching)
-    if not is_ecd_set(contracted, code):
-        raise RuntimeError("contraction vertices are not an ECD set of the result")
-    return contracted, code
+        w = next(u for u in g.neighbors(v) if u in d)   # d is EOD: v's one neighbor in d
+        if v < w:
+            matching.append((v, w))
+    contracted, vmap = contract_edges(g, matching)
+    return contracted, frozenset(vmap[u] for u, _ in matching)
 
 
 def ecd_to_eod(g: Graph, p, plan: SplitPlan | None = None) -> tuple[Graph, VertexSet]:
@@ -67,8 +65,4 @@ def ecd_to_eod(g: Graph, p, plan: SplitPlan | None = None) -> tuple[Graph, Verte
         edges.append((v, side_b[v]))
         edges.extend((u, v) for u in a)
         edges.extend((u, side_b[v]) for u in b)
-    out = Graph(g.n + len(p), edges)
-    eod = frozenset(p) | frozenset(side_b.values())
-    if not is_eod_set(out, eod):
-        raise RuntimeError("split vertices are not an EOD set of the result")
-    return out, eod
+    return Graph(g.n + len(p), edges), p | frozenset(side_b.values())

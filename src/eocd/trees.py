@@ -10,10 +10,10 @@ exact mode recognizes EOCD trees and its minimum mode gives gamma_t and
 gamma.
 
 The certificate is checked in full where it enters (`apply_step`,
-`decompose`) and where `is_eocd_tree` returns it.  After each step only
-the vertices whose hit count the step can change are checked
-(`_check_step`): the certificate before the step was valid, so that is
-the whole check.
+`decompose`).  After each step only the vertices whose hit count the
+step can change are checked (`_check_step`): the certificate before the
+step was valid, so that is the whole check.  `is_eocd_tree` does not
+re-check the pair it reads off the DP; claim 7 and the tests do.
 
 Internally trees are adjacency dicts over arbitrary integer labels so
 that decomposition can delete vertices without relabeling; the public
@@ -79,11 +79,15 @@ class TreeOpSequence:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def parse(cls, text: str) -> "TreeOpSequence":
-        """Read `serialize` output; errors name the offending line number."""
+    def parse(cls, text: str, max_vertices: int | None = None) -> "TreeOpSequence":
+        """Read `serialize` output; errors name the offending line number.
+        A step that takes the tree (2 vertices plus each step's new ones)
+        above `max_vertices` is refused on its line, before the next is read."""
         seq = cls()
         has_base = False
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        vertices = 2
+        lines = text.splitlines()
+        for lineno, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -101,10 +105,17 @@ class TreeOpSequence:
                     continue
                 if tok[0] not in OP_ARITY:
                     raise OpPreconditionError(f"unknown operation {tok[0]!r}")
+                vertices += OP_ARITY[tok[0]]
+                if max_vertices is not None and vertices > max_vertices:
+                    raise OpPreconditionError(f"replayed tree has {vertices} vertices, "
+                                              f"above --max-vertices {max_vertices}")
                 fields = _fields(tok[1:], ("attach", "new"))
                 seq.steps.append(TreeOpStep(tok[0], _ids(fields, "attach"), _ids(fields, "new")))
             except OpPreconditionError as exc:
                 raise OpPreconditionError(f"line {lineno}: {exc} in {line!r}") from None
+        if max_vertices is not None and vertices > max_vertices:   # no step: the K2 alone
+            raise OpPreconditionError(f"line {len(lines) + 1}: replayed tree has 2 vertices, "
+                                      f"above --max-vertices {max_vertices}")
         return seq
 
 
@@ -357,9 +368,7 @@ def is_eocd_tree(t: Graph) -> tuple[VertexSet, VertexSet] | None:
             one = pick.get((x, s, need))
             stack.extend((y, int(y == one), s) for y in children[x])
         codes.append(frozenset(code))
-    d, p = codes
-    _check_cert(adj, d, p, "is_eocd_tree result")
-    return d, p
+    return tuple(codes)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from eocd.graph import Graph
+from eocd.graph import Graph, GraphError
 from eocd.solver import (
     SearchMode,
     check_empty_dp_characterization,
@@ -39,3 +39,11 @@ def test_characterization_matches_search_on_the_atlas(mode, characterization):
         assert found == holds, (mode, sorted(g.edges()))
         hits += found
     assert hits > 0
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_empty_dp_characterization_rejects_ids_outside_the_graph(bad):
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert check_empty_dp_characterization(p4, {0, 1, 2, 3})   # D = {1, 2}, P = {0, 3}
+    with pytest.raises(GraphError, match=f"vertex {bad} outside 0..3"):
+        check_empty_dp_characterization(p4, {0, 1, 2, bad})

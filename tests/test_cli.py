@@ -1,5 +1,6 @@
 """Command-line interface end to end, via main(argv)."""
 
+import dataclasses
 import io
 import os
 import sys
@@ -7,10 +8,12 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eocd.cli import main
+from eocd.families import FAMILIES
 from eocd.graph import dump_edge_list, parse_edge_list
+from eocd.reduction import parse_dimacs, reduction_order
 from eocd.trees import random_eocd_tree
 
 
@@ -123,7 +126,6 @@ def test_tree_random_decompose_replay(tmp_path, capsys):
 
 
 def test_tree_random_rejects_steps_above_cap_before_growing(capsys, monkeypatch):
-    monkeypatch.delenv("EOCD_MAX_VERTICES", raising=False)
     # 10**8 steps would grow for hours; the cap check must come first
     code, text, err = run(capsys, "tree", "random", "--steps", str(10 ** 8), "--seed", "1")
     assert code == 2 and text == ""
@@ -152,7 +154,8 @@ def test_tree_replay_checks_max_vertices_before_replaying(tmp_path, capsys, monk
         code, text, err = run(capsys, "--max-vertices", "10", "tree", "replay", str(seq),
                               "-o", str(out))
     assert code == 2 and text == ""
-    assert err == "error: replayed tree has 40 vertices, above --max-vertices 10\n"
+    assert err == ("error: line 9: replayed tree has 11 vertices, above --max-vertices 10 "
+                   "in 'O1 attach=0 new=10'\n")
     assert not out.exists()
     assert run(capsys, "--max-vertices", "40", "tree", "replay", str(seq), "-o", str(out))[0] == 0
     assert parse_edge_list(out.read_text()).n == 40
@@ -196,6 +199,40 @@ def test_generate_cap_message_for_counts_past_the_digit_limit(capsys):
                        "above --max-vertices 10\n")
 
 
+# parameters for every `eocd generate` family: a new family without an
+# entry here fails the boundary test by KeyError
+_GENERATE_PARAMS = {"path": ("5",), "cycle": ("6",), "complete_bipartite": ("2", "3"),
+                    "hypercube": ("3",), "sierpinski": ("3", "2"), "reduction": ("f.cnf",)}
+
+
+@pytest.mark.parametrize("family", [*sorted(FAMILIES), "reduction"])
+def test_generate_cap_boundary(family, tmp_path, capsys, monkeypatch):
+    import eocd.cli
+
+    params = _GENERATE_PARAMS[family]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.cnf").write_text("p cnf 2 0\n")
+    if family == "reduction":
+        order = reduction_order(parse_dimacs("p cnf 2 0\n"))
+    else:
+        order = FAMILIES[family].order(*map(int, params))
+    name = family.replace("_", "-")
+    code, text, err = run(capsys, "--max-vertices", str(order), "generate", name, *params)
+    assert code == 0 and err == "" and parse_edge_list(text).n == order
+
+    def build(*args):
+        raise AssertionError("built above the cap")
+
+    if family == "reduction":
+        monkeypatch.setattr(eocd.cli, "build_reduction", build)
+    else:
+        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(FAMILIES[family], build=build))
+    code, text, err = run(capsys, "--max-vertices", str(order - 1), "generate", name, *params)
+    what = "reduction graph" if family == "reduction" else "generated graph"
+    assert code == 2 and text == ""
+    assert err == f"error: {what} has {order} vertices, above --max-vertices {order - 1}\n"
+
+
 def test_max_vertices_checked_on_the_header_line(tmp_path, capsys):
     # the edge on line 2 is out of range too; the header must be refused first
     big = tmp_path / "big.g"
@@ -219,15 +256,6 @@ def test_reduction_cap_checked_before_building(tmp_path, capsys, monkeypatch):
         code, text, err = run(capsys, "--max-vertices", "10", *argv)
         assert code == 2 and text == ""
         assert err == "error: reduction graph has 23000 vertices, above --max-vertices 10\n"
-
-
-def test_max_vertices_env(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "p8.g"
-    run(capsys, "generate", "path", "8", "-o", str(out))
-    monkeypatch.setenv("EOCD_MAX_VERTICES", "5")
-    code, _, err = run(capsys, "solve", str(out))
-    assert code == 2
-    assert "8 vertices" in err
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -393,3 +421,24 @@ def test_mutated_inputs_never_raise(data):
             assert message.count("\n") == (message != ""), (argv, message)
             assert message.endswith("\n") or not message
             assert "internal error" not in message, (argv, message)
+
+
+_PARAMS = st.one_of(st.integers(-3, 12), st.integers(-10 ** 12, 10 ** 12),
+                    st.sampled_from([10 ** 8, 10 ** 9, 10 ** 18, -10 ** 18, 2 ** 70]))
+
+
+@given(st.sampled_from([*(name.replace("_", "-") for name in FAMILIES), "reduction"]),
+       st.lists(_PARAMS, max_size=3), st.integers(-3, 3) | st.integers(-3, 64))
+@example("hypercube", [-1], 0)                   # 2 ** -1 is a float
+@example("sierpinski", [10 ** 9, 10 ** 8], 10)   # p ** n would not finish
+@example("sierpinski", [1, 10 ** 9], 10)         # one vertex, labels of 10^9 digits
+@settings(max_examples=300, deadline=None)
+def test_generate_never_raises(family, params, cap):
+    argv = ["--max-vertices", str(cap), "generate", family, *map(str, params)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    message = err.getvalue()
+    assert code in (0, 2), (argv, code, message)
+    assert message.count("\n") == (code == 2) and (message.endswith("\n") or not message)
+    assert "internal error" not in message, (argv, message)

@@ -9,7 +9,6 @@ from eocd.graph import (
     contract_edges,
     dump_edge_list,
     first_violation,
-    induced_subgraph,
     is_tree,
     parse_edge_list,
 )
@@ -56,14 +55,6 @@ def test_contract_rejects_non_matching():
     g = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(GraphError):
         contract_edges(g, [(0, 1), (1, 2)])
-
-
-def test_induced_subgraph():
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    h, back = induced_subgraph(g, [1, 2, 4])
-    assert h.n == 3
-    assert sorted(h.edges()) == [(0, 1)]
-    assert sorted(back.values()) == [1, 2, 4]
 
 
 def test_edge_list_format_round_trip():

@@ -70,11 +70,6 @@ def test_extreme_vertices_have_low_degree():
         assert s.degree(v) == expected
 
 
-def test_vertex_cap():
-    with pytest.raises(ValueError):
-        sierpinski(10, 5, max_vertices=4096)
-
-
 def test_explicit_eod_set_s42():
     d = sierpinski_eod_set(4, 2)
     s = sierpinski(4, 2)

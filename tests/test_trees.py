@@ -95,6 +95,27 @@ def test_sequence_parse_rejects_malformed_k2_lines():
         assert where in str(info.value) and what in str(info.value), text
 
 
+def test_sequence_parse_stops_at_the_line_that_crosses_the_cap(monkeypatch):
+    built = []
+
+    def step(*args):
+        built.append(args)
+        return TreeOpStep(*args)
+
+    monkeypatch.setattr(eocd.trees, "TreeOpStep", step)
+    text = "".join(f"O1 attach=0 new={i}\n" for i in range(2, 100_002))
+    with pytest.raises(OpPreconditionError) as info:
+        TreeOpSequence.parse(text, max_vertices=10)
+    assert str(info.value) == ("line 9: replayed tree has 11 vertices, above --max-vertices 10 "
+                               "in 'O1 attach=0 new=10'")
+    assert len(built) == 8   # the steps of lines 1-8; nothing after line 9 was read
+    first_eight = "".join(text.splitlines(keepends=True)[:8])
+    assert len(TreeOpSequence.parse(first_eight, max_vertices=10).steps) == 8   # 10 vertices
+    # no step at all: the K2 alone is above a cap of 1
+    with pytest.raises(OpPreconditionError, match="^line 2: replayed tree has 2 vertices"):
+        TreeOpSequence.parse("# only a comment\n", max_vertices=1)
+
+
 def test_is_eocd_tree_small_cases():
     assert is_eocd_tree(Graph(1, [])) is None
     assert is_eocd_tree(K2) is not None
@@ -318,6 +339,9 @@ def test_small_tree_certificates_are_pinned():
     trees = [t for n in range(1, 11) for t in _rooted_trees(n)]
     assert len(trees) == 1205   # rooted trees on 1..10 vertices (OEIS A000081)
     assert sum(_certificate_text(t) != "none\n" for t in trees) > 0
+    for t in trees:   # is_eocd_tree does not re-check its result; this does
+        cert = is_eocd_tree(t)
+        assert cert is None or (is_eod_set(t, cert[0]) and is_ecd_set(t, cert[1]))
     assert (_sha("".join(map(_certificate_text, trees)))
             == "921ba7f5dcdd124d6f311de181be8bb354e7120d6ac51705f8e8306f6dc860ec")
 
