@@ -55,17 +55,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(fname: str, parse):
-    """`parse` applied to the text of the file; an unreadable file is a usage error."""
+    """`parse` applied to the open file, which it reads line by line, so a
+    refusal stops reading; an unreadable file is a usage error."""
     try:
         with open(fname, encoding="utf-8") as fh:
-            return parse(fh.read())
+            return parse(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {fname}: {exc}")
 
 
 def _load_graph(args, fname: str) -> Graph:
     # checked on the header's line, before any allocation
-    return _read(fname, lambda text: parse_edge_list(text, max_vertices=args.max_vertices))
+    return _read(fname, lambda fh: parse_edge_list(fh, max_vertices=args.max_vertices))
 
 
 def _write_output(args, text: str) -> None:
@@ -184,7 +185,7 @@ def _cmd_tree_decompose(args) -> int:
 def _cmd_tree_replay(args) -> int:
     # checked on the line that crosses the cap, before the rest is parsed
     seq = _read(args.sequence,
-                lambda text: TreeOpSequence.parse(text, max_vertices=args.max_vertices))
+                lambda fh: TreeOpSequence.parse(fh, max_vertices=args.max_vertices))
     g, d, p = replay(seq)
     _write_output(args, dump_edge_list(g))
     _print_sets(args, g, {"D": d, "P": p})

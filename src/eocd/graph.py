@@ -177,21 +177,40 @@ def dump_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str, max_vertices: int | None = None) -> Graph:
+def text_lines(source: str | Iterable[str]) -> Iterable[str]:
+    """The lines of `source`, a text or an iterable of lines.
+
+    A str is split where a file opened in text mode is, at line feeds,
+    carriage returns and CR LF pairs only.  Any other iterable, such as an
+    open text file, is returned as it is, so the caller reads it one line
+    at a time.
+    """
+    if not isinstance(source, str):
+        return source
+    if "\r" in source:
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
+    lines = source.split("\n")
+    if not lines[-1]:   # the text's last line end, or an empty text
+        lines.pop()
+    return lines
+
+
+def parse_edge_list(source: str | Iterable[str], max_vertices: int | None = None) -> Graph:
     """Parse the edge-list format; `#` starts a comment, `L v name` sets a label.
 
-    Every error names the 1-based line it is about.  A header with more
-    than `max_vertices` vertices is rejected before anything is allocated.
+    `source` is the text or an iterable of its lines (an open file), read
+    one line at a time.  Every error names the 1-based line it is about,
+    and nothing after that line is read.  A header with more than
+    `max_vertices` vertices is rejected before anything is allocated.
     """
-    lines = text.splitlines()
-    head = n = m = found = 0   # head: the header's line number, 0 until it is read
+    head = n = m = found = lineno = 0   # head: the header's line number, 0 until it is read
     adj: list[set[int]] = []
     labels = {}
-    try:
-        for lineno, raw in enumerate(lines, 1):
-            tok = raw.partition("#")[0].split()
-            if not tok:
-                continue
+    for lineno, raw in enumerate(text_lines(source), 1):
+        tok = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not tok:
+            continue
+        try:
             if not head:
                 head = lineno
                 if len(tok) != 2:
@@ -218,10 +237,10 @@ def parse_edge_list(text: str, max_vertices: int | None = None) -> Graph:
                 adj[u].add(v)
                 adj[v].add(u)
                 found += 1
-    except ValueError as exc:   # GraphError, or int() on a non-integer
-        raise GraphError(f"line {lineno}: {exc} in {' '.join(tok)!r}") from None
+        except ValueError as exc:   # GraphError, or int() on a non-integer
+            raise GraphError(f"line {lineno}: {exc} in {' '.join(tok)!r}") from None
     if not head:
-        raise GraphError(f"line {len(lines) + 1}: input ends before the header 'n m'")
+        raise GraphError(f"line {lineno + 1}: input ends before the header 'n m'")
     if found != m:
         raise GraphError(f"line {head}: header promises {m} edges, found {found}")
     g = Graph.__new__(Graph)   # every edge and label was checked on its line

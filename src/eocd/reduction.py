@@ -10,8 +10,9 @@ witnesses translate constructively in both directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .graph import Graph, VertexSet
+from .graph import Graph, VertexSet, text_lines
 from .solver import EocdCertificate, InvalidCertificateError, is_ecd_set, is_eod_set
 
 # Gadget-internal vertex order; global id = 23 * variable_index + offset.
@@ -67,15 +68,15 @@ class CnfFormula:
                 seen.add(var)
 
 
-def parse_dimacs(text: str) -> CnfFormula:
+def parse_dimacs(source: str | Iterable[str]) -> CnfFormula:
     """DIMACS CNF subset: `p cnf <vars> <clauses>`, clauses of exactly
-    three nonzero literals terminated by 0.  Every error names the
-    1-based line it is about."""
+    three nonzero literals terminated by 0.  `source` is the text or an
+    iterable of its lines (an open file), read one line at a time.  Every
+    error names the 1-based line it is about."""
     n_vars = expected = None
-    problem = 0   # line number of the problem line
+    problem = lineno = 0   # the problem line's number; the last line's number
     clauses = []
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(text_lines(source), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -99,7 +100,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         except ValueError as exc:   # FormulaError, or int() on a non-integer
             raise FormulaError(f"line {lineno}: {exc} in {line!r}") from None
     if n_vars is None:
-        raise FormulaError(f"line {len(lines) + 1}: input ends before the problem line")
+        raise FormulaError(f"line {lineno + 1}: input ends before the problem line")
     if len(clauses) != expected:
         raise FormulaError(
             f"line {problem}: problem line promises {expected} clauses, found {len(clauses)}")

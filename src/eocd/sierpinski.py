@@ -2,8 +2,10 @@
 
 Vertices are length-n digit strings over 0..p-1 (digit s_1 is the least
 significant); vertex ids are the base-p values of the strings, labels are
-the strings themselves.  The graph is built by the digit adjacency rule;
-the tests compare it with the recursive edge definition.
+the strings themselves.  The graph is built by the digit adjacency rule
+in O(p^n * n), each vertex's run of equal trailing digits giving its one
+neighbor above level 1; the tests compare it with the recursive edge
+definition.
 
 Parity characterization: for p >= 3, n >= 2, S_p^n is an EOCD graph iff p is
 even; for even p an explicit EOD set of size p^(n-1) exists, which also
@@ -35,23 +37,33 @@ def _vid(digits: tuple[int, ...], p: int) -> int:
     return v
 
 
-def _direct_edges(p: int, n: int) -> set[tuple[int, int]]:
-    # neighbor at level delta exists iff the delta-1 trailing digits all
-    # equal some j != s_delta; then swap s_delta and j and fill the tail.
-    edges = set()
-    for digits in product(range(p), repeat=n):
-        v = _vid(digits, p)
-        for delta in range(1, n + 1):
-            tail = digits[n - delta + 1:]  # digits s_{delta-1} .. s_1
-            s_delta = digits[n - delta]
-            if delta == 1:
-                js = [j for j in range(p) if j != s_delta]
-            else:
-                js = [tail[0]] if len(set(tail)) == 1 and tail[0] != s_delta else []
-            for j in js:
-                t = digits[:n - delta] + (j,) + (s_delta,) * (delta - 1)
-                w = _vid(t, p)
-                edges.add((min(v, w), max(v, w)))
+def _direct_edges(p: int, n: int) -> list[tuple[int, int]]:
+    """Each edge (v, w), v < w, once.
+
+    A neighbor at level delta exists iff the delta-1 trailing digits all
+    equal some j != s_delta; then s_delta and j swap and the tail is
+    refilled with s_delta.  Level 1 changes s_1 to any other digit.  If
+    exactly r trailing digits equal s_1 = j, the only higher level is
+    r + 1, where s_{r+1} = s != j: the neighbor's id is
+    v + (j - s) * shift[r].
+    """
+    if n == 0:
+        return []
+    shift = []   # p^r - (p^(r-1) + ... + p + 1)
+    power, rep = 1, 0
+    for _ in range(n):
+        shift.append(power - rep)
+        rep += power
+        power *= p
+    edges = []
+    for v, digits in enumerate(product(range(p), repeat=n)):   # v is their base-p value
+        j = digits[-1]
+        edges.extend((v, v + t - j) for t in range(j + 1, p))
+        r = 1
+        while r < n and digits[-1 - r] == j:
+            r += 1
+        if r < n and digits[-1 - r] < j:   # the neighbor's id is larger
+            edges.append((v, v + (j - digits[-1 - r]) * shift[r]))
     return edges
 
 

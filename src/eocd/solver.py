@@ -5,9 +5,12 @@ neighborhoods; EOD sets are exact covers by open neighborhoods.  Every
 search runs through one exact-cover core, `_covers`: Algorithm X after
 Knuth's "Dancing Links" (arXiv cs/0011047), iterative with its own frame
 stack, so search depth is not bounded by Python's recursion limit.  It
-keeps a live-row count per column, branches on the uncovered column with
-the fewest live rows (ties by smallest id) and tries rows in index
-order, so results are deterministic.
+keeps a live-row count per column, branches on the first uncovered
+column with at most one live row, else on the one with the fewest (ties
+by smallest id), and tries rows in index order, so results are
+deterministic.  A low-count cursor finds that column without a scan from
+the head of the column list, so forced chains (paths, long legs of
+trees) are searched in linear time; `stats` records the effort.
 
 `find_eod` and `find_ecd` take the first cover by open or closed
 neighborhoods.  `find_eocd` answers EMPTY_P_MINUS_D with the linear
@@ -63,67 +66,114 @@ def is_eod_set(g: Graph, d) -> bool:
     return first_violation(range(g.n), g.neighbors, d, closed=False) is None
 
 
-def _covers(n_primary: int, n_cols: int, rows) -> Iterator[list[int]]:
+def _covers(n_primary: int, n_cols: int, rows, stats: dict | None = None) -> Iterator[list[int]]:
     """Exact covers of columns 0..n_primary-1 by `rows`, as row-index lists.
 
-    Each row is a sequence of column ids below `n_cols`.  Primary columns
-    (ids below n_primary) must be covered exactly once; the others are
-    secondary and may be covered at most once.  Algorithm X with a frame
-    stack instead of recursion: every column keeps its count of live rows,
-    and the live primary columns form a doubly linked list in id order.
-    Each node branches on the live primary column with the fewest live
-    rows (ties to the smallest id; the scan stops at a count of 0 or 1)
-    and tries its live rows in index order, so the covers come out in a
-    fixed order.
+    Each row is a sequence of distinct column ids below `n_cols`.  Primary
+    columns (ids below n_primary) must be covered exactly once; the others
+    are secondary and may be covered at most once.  Algorithm X with a
+    frame stack instead of recursion: every column keeps its count of live
+    rows, and the live primary columns form a doubly linked list in id
+    order.  Each node branches on the first live primary column with at
+    most one live row or, if there is none, on the one with the fewest
+    (ties to the smallest id), and tries its live rows in index order, so
+    the covers come out in a fixed order.
+
+    A low-count cursor finds that column without a scan from the head.
+    `lows` counts the live primary columns with at most one live row, and
+    every live primary column below `low` (a live column, or the head) has
+    two or more.  A pick first unlinks its row's primary columns, lowering
+    `lows` for each with one row and moving `low` past them, so that their
+    counts cannot pull `low` back on their way to 0; then each kill that
+    brings a live column down to one row raises `lows` and, below `low`,
+    moves `low` there.  A take-back restores both from the frame.  With
+    `lows` > 0 the walk from `low` stops at the first column with at most
+    one row; with `lows` == 0 a walk from the head stops at the first with
+    two, the fewest left.  So a forced chain costs O(1) per node, not O(n),
+    and the kill loop pays one `== 1` test per count it lowers.
+
+    If `stats` is a dict, it is filled in whenever a cover is yielded and
+    when the search ends: `nodes` (partial covers visited), `backtracks`
+    (picks taken back), `max_depth` (most rows in a partial cover) and
+    `scanned` (columns the choice visited).
     """
     col_rows: list[list[int]] = [[] for _ in range(n_cols)]
     for r, cols in enumerate(rows):
         for c in cols:
             col_rows[c].append(r)
     count = [len(rs) for rs in col_rows]
-    head = n_primary
-    nxt = [*range(1, n_primary + 1), 0]
-    prv = [n_primary, *range(n_primary)]
+    head = n_cols   # above every column id; count[head] = 0 ends a walk round the list
+    count.append(0)
+    nxt = [*range(1, n_cols + 1), 0]
+    prv = [head, *range(n_cols)]
+    if n_primary < n_cols:   # only the primary columns are linked
+        last = n_primary - 1 if n_primary else head
+        nxt[last], prv[head] = head, last
+    firsts = count[:n_primary]
+    lows = firsts.count(0) + firsts.count(1)
+    low = 0
     live = [True] * len(rows)
     killed: list[int] = []   # rows made dead by the current picks, in order
-    marks: list[int] = []    # len(killed) before each pick
+    kill = killed.append
     chosen: list[int] = []   # the row picked in each frame
-    stack: list[list[int]] = []  # frames: [column, next index into col_rows[column]]
+    # frames: [column, next index into col_rows[column], then len(killed),
+    # low and lows as they were before the frame's picks]
+    stack: list[list[int]] = []
+    backtracks = max_depth = scanned = 0
     descend = True
     while True:
         if descend:
-            c = nxt[head]
-            if c != head:
-                best, fewest = c, count[c]
-                if fewest > 1:
-                    c = nxt[c]
-                    while c != head:
+            if nxt[head] == head:
+                if stats is not None:
+                    _fill(stats, backtracks, max_depth, chosen, scanned)
+                yield list(chosen)
+            else:
+                if lows:
+                    c = low
+                    while count[c] > 1:
+                        scanned += 1
+                        c = nxt[c]
+                    scanned += 1
+                    best = low = c
+                    fewest = count[c]
+                else:
+                    best, fewest, low = head, len(rows) + 1, head
+                    c = nxt[head]
+                    while True:
                         k = count[c]
                         if k < fewest:
-                            best, fewest = c, k
-                            if k < 2:
+                            if c == head:
                                 break
+                            scanned += 1
+                            best, fewest = c, k
+                            if k == 2:
+                                break
+                        else:
+                            scanned += 1
                         c = nxt[c]
                 if fewest:
-                    stack.append([best, 0])
-            else:
-                yield list(chosen)
+                    stack.append([best, 0, len(killed), low, lows])
         if not stack:
+            if stats is not None:
+                _fill(stats, backtracks, max_depth, chosen, scanned)
             return
         frame = stack[-1]
         if len(chosen) == len(stack):   # take back this frame's last pick
+            backtracks += 1
+            if len(chosen) > max_depth:
+                max_depth = len(chosen)
             r = chosen.pop()
-            mark = marks.pop()
-            while len(killed) > mark:
-                r2 = killed.pop()
+            _, _, mark, low, lows = frame
+            for r2 in killed[mark:]:   # in any order: each only adds back
                 live[r2] = True
                 for c2 in rows[r2]:
                     count[c2] += 1
+            del killed[mark:]
             for c2 in reversed(rows[r]):
                 if c2 < n_primary:
                     nxt[prv[c2]] = c2
                     prv[nxt[c2]] = c2
-        c, i = frame
+        c, i = frame[0], frame[1]
         rs = col_rows[c]
         end = len(rs)
         while i < end and not live[rs[i]]:
@@ -134,26 +184,44 @@ def _covers(n_primary: int, n_cols: int, rows) -> Iterator[list[int]]:
             continue
         r = rs[i]
         frame[1] = i + 1
-        marks.append(len(killed))
         chosen.append(r)
-        for c2 in rows[r]:
+        picked = rows[r]
+        for c2 in picked:
             if c2 < n_primary:
                 a, b = prv[c2], nxt[c2]
                 nxt[a] = b
                 prv[b] = a
+                if c2 == low:
+                    low = b
+                if count[c2] == 1:
+                    lows -= 1
+        for c2 in picked:
             for r2 in col_rows[c2]:
                 if live[r2]:
                     live[r2] = False
-                    killed.append(r2)
+                    kill(r2)
                     for c3 in rows[r2]:
-                        count[c3] -= 1
+                        k = count[c3] - 1
+                        count[c3] = k
+                        if k == 1 and c3 < n_primary and nxt[prv[c3]] == c3:
+                            lows += 1
+                            if c3 < low:
+                                low = c3
         descend = True
 
 
-def iter_efficient_sets(g: Graph, closed: bool) -> Iterator[VertexSet]:
-    """Every ECD set (closed) or EOD set (open) of g, in a fixed order."""
+def _fill(stats: dict, backtracks: int, max_depth: int, chosen: list, scanned: int) -> None:
+    """`_covers`' statistics: each pick opens one node, and is taken back
+    or still chosen."""
+    stats.update(nodes=1 + backtracks + len(chosen), backtracks=backtracks,
+                 max_depth=max(max_depth, len(chosen)), scanned=scanned)
+
+
+def iter_efficient_sets(g: Graph, closed: bool, stats: dict | None = None) -> Iterator[VertexSet]:
+    """Every ECD set (closed) or EOD set (open) of g, in a fixed order;
+    `stats` receives the search statistics of `_covers`."""
     rows = [(*g.neighbors(v), v) if closed else g.neighbors(v) for v in range(g.n)]
-    for sol in _covers(g.n, g.n, rows):
+    for sol in _covers(g.n, g.n, rows, stats):
         yield frozenset(sol)
 
 

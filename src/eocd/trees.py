@@ -25,8 +25,16 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from .graph import Graph, VertexSet, certificate_violations, describe_violation, is_tree
+from .graph import (
+    Graph,
+    VertexSet,
+    certificate_violations,
+    describe_violation,
+    is_tree,
+    text_lines,
+)
 
 OP_ARITY = {"O1": 1, "O2": 3, "O3": 5, "O4": 1, "O5": 1}
 OP_ATTACH = {"O1": 1, "O2": 1, "O3": 1, "O4": 3, "O5": 6}
@@ -79,15 +87,18 @@ class TreeOpSequence:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def parse(cls, text: str, max_vertices: int | None = None) -> "TreeOpSequence":
-        """Read `serialize` output; errors name the offending line number.
-        A step that takes the tree (2 vertices plus each step's new ones)
-        above `max_vertices` is refused on its line, before the next is read."""
+    def parse(cls, source: str | Iterable[str],
+              max_vertices: int | None = None) -> "TreeOpSequence":
+        """Read `serialize` output from its text or an iterable of its lines
+        (an open file), one line at a time; errors name the offending line
+        number.  A step that takes the tree (2 vertices plus each step's new
+        ones) above `max_vertices` is refused on its line, before the next
+        is read."""
         seq = cls()
         has_base = False
         vertices = 2
-        lines = text.splitlines()
-        for lineno, raw in enumerate(lines, 1):
+        lineno = 0
+        for lineno, raw in enumerate(text_lines(source), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -114,7 +125,7 @@ class TreeOpSequence:
             except OpPreconditionError as exc:
                 raise OpPreconditionError(f"line {lineno}: {exc} in {line!r}") from None
         if max_vertices is not None and vertices > max_vertices:   # no step: the K2 alone
-            raise OpPreconditionError(f"line {len(lines) + 1}: replayed tree has 2 vertices, "
+            raise OpPreconditionError(f"line {lineno + 1}: replayed tree has 2 vertices, "
                                       f"above --max-vertices {max_vertices}")
         return seq
 

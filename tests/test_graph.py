@@ -75,7 +75,7 @@ def test_parse_edge_list_comments_and_errors():
         parse_edge_list("not a header\n")
 
 
-def test_parse_edge_list_errors_name_the_line():
+def test_parse_edge_list_errors_name_the_line(line_end_variants):
     cases = [
         ("3 1\n# c\n0 x\n", "line 3", "'x'"),              # non-integer id
         ("x 1\n", "line 1", "'x'"),                          # non-integer header
@@ -88,9 +88,27 @@ def test_parse_edge_list_errors_name_the_line():
         ("# only a comment\n", "line 2", "header"),           # no header
     ]
     for text, where, what in cases:
-        with pytest.raises(GraphError) as info:
-            parse_edge_list(text)
-        assert str(info.value).startswith(where + ":") and what in str(info.value), text
+        for source in line_end_variants(text):
+            with pytest.raises(GraphError) as info:
+                parse_edge_list(source)
+            assert str(info.value).startswith(where + ":") and what in str(info.value), text
+
+
+def test_parse_edge_list_reads_no_line_after_a_refusal(lines_then_fail):
+    with pytest.raises(GraphError, match="^line 2: edge"):
+        parse_edge_list(lines_then_fail(["3 1\n", "0 3\n"]))
+    with pytest.raises(GraphError, match="^line 1: 100 vertices, above --max-vertices 10"):
+        parse_edge_list(lines_then_fail(["100 0\n"]), max_vertices=10)
+    g = parse_edge_list(iter(["2 1\n", "0 1\n"]))
+    assert list(g.edges()) == [(0, 1)]
+
+
+def test_only_line_feeds_and_carriage_returns_end_lines(line_end_variants):
+    # a form feed (or \x85, \u2028, ...) is whitespace inside a line, in a
+    # str just as in a file
+    for source in line_end_variants("2 1\x0c0 1\n"):
+        with pytest.raises(GraphError, match="^line 1: header must be 'n m'"):
+            parse_edge_list(source)
 
 
 def test_first_violation_on_graphs_and_label_dicts():

@@ -55,7 +55,7 @@ def test_parse_dimacs():
         parse_dimacs("1 2 3 0\n")
 
 
-def test_parse_dimacs_errors_name_the_line():
+def test_parse_dimacs_errors_name_the_line(line_end_variants):
     cases = [
         ("p cnf 3 1\n\n1 2 x 0\n", "line 3", "'x'"),          # non-integer literal
         ("c head\np cnf three 1\n", "line 2", "'three'"),      # non-integer count
@@ -67,9 +67,16 @@ def test_parse_dimacs_errors_name_the_line():
         ("c\np cnf 3 2\n1 2 3 0\n", "line 2", "promises 2"),   # clause count
     ]
     for text, where, what in cases:
-        with pytest.raises(FormulaError) as info:
-            parse_dimacs(text)
-        assert str(info.value).startswith(where + ":") and what in str(info.value), text
+        for source in line_end_variants(text):
+            with pytest.raises(FormulaError) as info:
+                parse_dimacs(source)
+            assert str(info.value).startswith(where + ":") and what in str(info.value), text
+
+
+def test_parse_dimacs_reads_no_line_after_a_refusal(lines_then_fail):
+    with pytest.raises(FormulaError, match="^line 3: invalid literal"):
+        parse_dimacs(lines_then_fail(["p cnf 3 1\n", "\n", "1 2 x 0\n"]))
+    assert parse_dimacs(iter(["p cnf 3 1\n", "1 2 3 0\n"])).n_vars == 3
 
 
 def test_reduction_graph_shape():

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from typing import Iterator
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +24,7 @@ from eocd.solver import (
     is_eod_set,
     iter_efficient_sets,
 )
+from eocd.solver import _covers
 
 PETERSEN = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                       (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
@@ -339,3 +341,160 @@ def test_disjoint_c12_copies_have_no_disjoint_certificate():
     assert find_eocd(g, SearchMode.EMPTY_INTERSECTION) is None
     assert find_eocd(g, SearchMode.EMPTY_P_MINUS_D) is None
     assert find_eocd(g) is not None
+
+
+def test_spider_ecd_search_statistics():
+    g = _spider(1067)
+    stats = {}
+    p = next(iter_efficient_sets(g, closed=True, stats=stats))
+    assert p == frozenset([0] + [3 * i + 3 for i in range(1067)])
+    assert stats["nodes"] == 3201
+    assert stats["nodes"] == 1 + stats["backtracks"] + len(p)
+
+
+@pytest.mark.parametrize("n", [1000, 2000, 4000])
+def test_path_eod_choice_scans_linearly(n):
+    """A forced chain: the parent's scan from the head visited about n^2/8
+    columns on P_n."""
+    stats = {}
+    d = next(iter_efficient_sets(path(n), closed=False, stats=stats))
+    assert len(d) == n // 2
+    assert stats["scanned"] <= 3 * n
+    assert stats["nodes"] == n // 2 + 1 and stats["backtracks"] == 0
+    assert stats["max_depth"] == n // 2
+
+
+def test_search_statistics_of_full_enumerations():
+    # open: every column has 2 rows, so each inner node stops on its first
+    # column; the root and its two children scan once each
+    stats = {}
+    assert len(list(iter_efficient_sets(cycle(4), closed=False, stats=stats))) == 4
+    assert stats == {"nodes": 7, "backtracks": 6, "max_depth": 2, "scanned": 3}
+    # closed: the root walks all 4 columns (3 rows each), and each of its
+    # 3 picks leaves column 2 with no row, found in one step
+    stats = {}
+    assert list(iter_efficient_sets(cycle(4), closed=True, stats=stats)) == []
+    assert stats == {"nodes": 4, "backtracks": 3, "max_depth": 1, "scanned": 7}
+
+
+def _reference_covers(n_primary: int, n_cols: int, rows) -> Iterator[list[int]]:
+    """The scan-based `_covers` that the low-count cursor replaced: an oracle
+    for the order of the covers.
+
+    Each row is a sequence of column ids below `n_cols`.  Primary columns
+    (ids below n_primary) must be covered exactly once; the others are
+    secondary and may be covered at most once.  Algorithm X with a frame
+    stack instead of recursion: every column keeps its count of live rows,
+    and the live primary columns form a doubly linked list in id order.
+    Each node branches on the live primary column with the fewest live
+    rows (ties to the smallest id; the scan stops at a count of 0 or 1)
+    and tries its live rows in index order, so the covers come out in a
+    fixed order.
+    """
+    col_rows: list[list[int]] = [[] for _ in range(n_cols)]
+    for r, cols in enumerate(rows):
+        for c in cols:
+            col_rows[c].append(r)
+    count = [len(rs) for rs in col_rows]
+    head = n_primary
+    nxt = [*range(1, n_primary + 1), 0]
+    prv = [n_primary, *range(n_primary)]
+    live = [True] * len(rows)
+    killed: list[int] = []   # rows made dead by the current picks, in order
+    marks: list[int] = []    # len(killed) before each pick
+    chosen: list[int] = []   # the row picked in each frame
+    stack: list[list[int]] = []  # frames: [column, next index into col_rows[column]]
+    descend = True
+    while True:
+        if descend:
+            c = nxt[head]
+            if c != head:
+                best, fewest = c, count[c]
+                if fewest > 1:
+                    c = nxt[c]
+                    while c != head:
+                        k = count[c]
+                        if k < fewest:
+                            best, fewest = c, k
+                            if k < 2:
+                                break
+                        c = nxt[c]
+                if fewest:
+                    stack.append([best, 0])
+            else:
+                yield list(chosen)
+        if not stack:
+            return
+        frame = stack[-1]
+        if len(chosen) == len(stack):   # take back this frame's last pick
+            r = chosen.pop()
+            mark = marks.pop()
+            while len(killed) > mark:
+                r2 = killed.pop()
+                live[r2] = True
+                for c2 in rows[r2]:
+                    count[c2] += 1
+            for c2 in reversed(rows[r]):
+                if c2 < n_primary:
+                    nxt[prv[c2]] = c2
+                    prv[nxt[c2]] = c2
+        c, i = frame
+        rs = col_rows[c]
+        end = len(rs)
+        while i < end and not live[rs[i]]:
+            i += 1
+        if i == end:
+            stack.pop()
+            descend = False
+            continue
+        r = rs[i]
+        frame[1] = i + 1
+        marks.append(len(killed))
+        chosen.append(r)
+        for c2 in rows[r]:
+            if c2 < n_primary:
+                a, b = prv[c2], nxt[c2]
+                nxt[a] = b
+                prv[b] = a
+            for r2 in col_rows[c2]:
+                if live[r2]:
+                    live[r2] = False
+                    killed.append(r2)
+                    for c3 in rows[r2]:
+                        count[c3] -= 1
+        descend = True
+
+
+
+
+@st.composite
+def row_systems(draw):
+    """Random rows over primary and secondary columns, or the
+    EMPTY_INTERSECTION shape of a random graph: a D row (N(v) and
+    "center v") and a P row (N[v] shifted by k, and "center v") per vertex."""
+    if draw(st.booleans()):
+        g = draw(small_graphs())
+        k = g.n
+        rows = []
+        for v in range(k):
+            opened = list(g.neighbors(v))
+            rows.append(opened + [2 * k + v])
+            rows.append([k + w for w in opened] + [k + v, 2 * k + v])
+        return 2 * k, 3 * k, rows
+    n_primary = draw(st.integers(min_value=0, max_value=9))
+    n_cols = n_primary + draw(st.integers(min_value=0, max_value=4))
+    row = st.lists(st.integers(min_value=0, max_value=n_cols - 1), unique=True,
+                   min_size=1, max_size=min(n_cols, 5)) if n_cols else st.just([])
+    rows = draw(st.lists(row, max_size=16))
+    return n_primary, n_cols, rows
+
+
+@given(row_systems())
+@settings(max_examples=400, deadline=None)
+@example((0, 0, []))
+@example((3, 3, [[0], [1], [2], [0, 1, 2]]))
+@example((2, 3, [[0, 2], [1, 2], [0], [1]]))
+def test_cursor_choice_keeps_the_enumeration_order(system):
+    n_primary, n_cols, rows = system
+    assert list(_covers(n_primary, n_cols, rows)) == \
+        list(_reference_covers(n_primary, n_cols, rows))

@@ -81,7 +81,7 @@ def test_sequence_parse_rejects_garbage():
         TreeOpSequence.parse("O1 attach new=2\n")
 
 
-def test_sequence_parse_rejects_malformed_k2_lines():
+def test_sequence_parse_rejects_malformed_k2_lines(line_end_variants):
     cases = [
         ("K2 p=0\n", "line 1", "v="),                          # missing field
         ("K2 v=0,x p=0\n", "line 1", "0,x"),                   # non-integer id
@@ -90,9 +90,17 @@ def test_sequence_parse_rejects_malformed_k2_lines():
         ("K2 v=0,1 p=7\n", "line 1", "p="),                    # p not a base vertex
     ]
     for text, where, what in cases:
-        with pytest.raises(OpPreconditionError) as info:
-            TreeOpSequence.parse(text)
-        assert where in str(info.value) and what in str(info.value), text
+        for source in line_end_variants(text):
+            with pytest.raises(OpPreconditionError) as info:
+                TreeOpSequence.parse(source)
+            assert where in str(info.value) and what in str(info.value), text
+
+
+def test_sequence_parse_reads_no_line_after_a_refusal(lines_then_fail):
+    lines = [f"O1 attach=0 new={i}\n" for i in range(2, 11)]
+    with pytest.raises(OpPreconditionError, match="^line 9: replayed tree has 11 vertices"):
+        TreeOpSequence.parse(lines_then_fail(lines), max_vertices=10)
+    assert len(TreeOpSequence.parse(iter(lines[:8]), max_vertices=10).steps) == 8
 
 
 def test_sequence_parse_stops_at_the_line_that_crosses_the_cap(monkeypatch):
