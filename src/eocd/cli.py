@@ -162,7 +162,7 @@ def _cmd_verify(args) -> int:
     d = _parse_ids(args.d, g.n, "--d")
     p = _parse_ids(args.p, g.n, "--p")
     ok = True
-    for name, kind, problem in certificate_violations(range(g.n), g.neighbors, d, p):
+    for name, kind, problem in certificate_violations(g.n, g.neighbors, d, p):
         if problem is None:
             print(f"{name}: valid {kind} set")
         else:

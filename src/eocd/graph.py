@@ -10,6 +10,7 @@ carry a separate label map.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
 VertexSet = frozenset  # subsets of 0..n-1, interpreted against a graph
@@ -39,12 +40,22 @@ class Graph:
         for v in labels or ():
             if not (0 <= v < n):
                 raise GraphError(f"label for unknown vertex {v}")
-        self._fill(n, adj, labels)
+        self._fill(n, tuple(tuple(sorted(s)) for s in adj), labels)
 
-    def _fill(self, n: int, adj: list[set[int]], labels) -> None:
-        """Set the fields from symmetric, loop-free adjacency sets on 0..n-1."""
+    @classmethod
+    def _of(cls, n: int, adj: tuple[tuple[int, ...], ...], labels=None) -> Graph:
+        """The graph whose vertex v has the neighbors adj[v], unchecked.
+
+        `adj` must be sorted tuples on 0..n-1, symmetric and loop-free;
+        callers build it in O(n + m) from input they have checked.
+        """
+        g = cls.__new__(cls)
+        g._fill(n, adj, labels)
+        return g
+
+    def _fill(self, n: int, adj: tuple[tuple[int, ...], ...], labels) -> None:
         self.n = n
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
+        self._adj = adj
         self.labels: dict[int, str] = dict(labels) if labels else {}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -70,33 +81,32 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def first_violation(vertices, nbrs, members, closed: bool):
+def first_violation(n: int, nbrs, members, closed: bool):
     """The first vertex not covered exactly once, or None.
 
     Counts, in O(n + m), how often the open (closed=False) or closed
-    neighborhoods of `members` hit each vertex.  `vertices` iterates over
-    the vertices (a range of ids or a label-keyed dict); `nbrs(v)` yields
-    the neighbors of v.  Returns the first vertex, in the order of
-    `vertices`, hit other than once, with the sorted list of the members
-    whose neighborhoods hit it; None if the neighborhoods partition the
-    vertices.  A member that is not a vertex raises GraphError.
+    neighborhoods of `members` hit each vertex of 0..n-1, in a list
+    indexed by vertex id; `nbrs(v)` yields the neighbors of v.  Returns
+    the smallest vertex hit other than once, with the sorted list of the
+    members whose neighborhoods hit it; None if the neighborhoods
+    partition the vertices.  A member outside 0..n-1 raises GraphError.
     """
     members = frozenset(members)
-    hits = dict.fromkeys(vertices, 0)
+    hits = [0] * n
     for x in members:
-        if x not in hits:
+        if not (isinstance(x, int) and 0 <= x < n):
             raise GraphError(f"vertex {x!r} is not in the graph")
         for w in nbrs(x):
             hits[w] += 1
         if closed:
             hits[x] += 1
-    for x, k in hits.items():
-        if k != 1:
-            via = [w for w in nbrs(x) if w in members]
-            if closed and x in members:
-                via.append(x)
-            return x, sorted(via)
-    return None
+    if hits.count(1) == n:
+        return None
+    x = next(x for x, k in enumerate(hits) if k != 1)
+    via = [w for w in nbrs(x) if w in members]
+    if closed and x in members:
+        via.append(x)
+    return x, sorted(via)
 
 
 def describe_violation(x, via: list, name: str) -> str:
@@ -106,15 +116,16 @@ def describe_violation(x, via: list, name: str) -> str:
     return f"vertex {x} is doubly covered by {name} (via {via[0]} and {via[1]})"
 
 
-def certificate_violations(vertices, nbrs, d, p) -> Iterator[tuple[str, str, str | None]]:
-    """Check D as an EOD set, then P as an ECD set, by `first_violation`.
+def certificate_violations(n: int, nbrs, d, p) -> Iterator[tuple[str, str, str | None]]:
+    """Check D as an EOD set, then P as an ECD set of the vertices 0..n-1,
+    by `first_violation`.
 
     Yields (name, kind, problem) for "D", "EOD" and then "P", "ECD", where
     problem is the `describe_violation` line, or None if the set is valid.
     A caller that stops at the first problem leaves P unchecked.
     """
     for name, kind, members, closed in (("D", "EOD", d, False), ("P", "ECD", p, True)):
-        bad = first_violation(vertices, nbrs, members, closed)
+        bad = first_violation(n, nbrs, members, closed)
         yield name, kind, None if bad is None else describe_violation(*bad, name)
 
 
@@ -148,25 +159,39 @@ def contract_edges(g: Graph, matching: list[tuple[int, int]]) -> tuple[Graph, di
 
     Returns the contracted graph and the total, surjective map from old
     vertex ids to new ones.  The two endpoints of a matched edge map to
-    the same new vertex.
+    the new id of the smaller one; the other new ids follow the old order.
+    The contracted adjacency is built directly in O(n + m): each old
+    neighbor tuple is mapped through the vertex map and re-sorted only if
+    it names a merged end, and each matched pair merges its two tuples.
     """
+    adj = g._adj
     touched: set[int] = set()
     for u, v in matching:
-        if not g.has_edge(u, v):
+        if not (0 <= u < g.n and g.has_edge(u, v)):
             raise GraphError(f"({u}, {v}) is not an edge")
         if u in touched or v in touched:
             raise GraphError(f"({u}, {v}) shares an endpoint with another matching edge")
         touched.update((u, v))
-        if set(g.neighbors(u)) & set(g.neighbors(v)):
+        if not set(adj[u]).isdisjoint(adj[v]):
             raise GraphError(f"edge ({u}, {v}) lies in a triangle")
-    rep = list(range(g.n))
+    keep = [True] * g.n   # False at the larger end of each matched edge
     for u, v in matching:
-        rep[max(u, v)] = min(u, v)
-    new_id = {r: i for i, r in enumerate(sorted(set(rep)))}
-    vmap = {v: new_id[rep[v]] for v in range(g.n)}
-    edges = {(min(vmap[u], vmap[v]), max(vmap[u], vmap[v]))
-             for u, v in g.edges() if vmap[u] != vmap[v]}
-    return Graph(len(new_id), sorted(edges)), vmap
+        keep[max(u, v)] = False
+    vmap = [0] * g.n
+    for i, v in enumerate(compress(range(g.n), keep)):
+        vmap[v] = i
+    for u, v in matching:
+        vmap[max(u, v)] = vmap[min(u, v)]
+    new = vmap.__getitem__   # increasing on the kept vertices
+    rows = [tuple(map(new, adj[v])) for v in compress(range(g.n), keep)]
+    for i in {new(x) for u, v in matching for x in adj[max(u, v)]}:
+        rows[i] = tuple(sorted(rows[i]))   # the row names a merged end
+    for u, v in matching:   # merged neighbors of u and v may coincide
+        merged = set(map(new, adj[u]))
+        merged.update(map(new, adj[v]))
+        merged.discard(new(u))
+        rows[new(u)] = tuple(sorted(merged))
+    return Graph._of(len(rows), tuple(rows)), dict(enumerate(vmap))
 
 
 def dump_edge_list(g: Graph) -> str:
@@ -200,8 +225,9 @@ def parse_edge_list(source: str | Iterable[str], max_vertices: int | None = None
 
     `source` is the text or an iterable of its lines (an open file), read
     one line at a time.  Every error names the 1-based line it is about,
-    and nothing after that line is read.  A header with more than
-    `max_vertices` vertices is rejected before anything is allocated.
+    and nothing after that line is read.  A repeated edge is an error.
+    A header with more than `max_vertices` vertices is rejected before
+    anything is allocated.
     """
     head = n = m = found = lineno = 0   # head: the header's line number, 0 until it is read
     adj: list[set[int]] = []
@@ -234,6 +260,8 @@ def parse_edge_list(source: str | Iterable[str], max_vertices: int | None = None
                 u, v = int(tok[0]), int(tok[1])
                 if not (0 <= u < n and 0 <= v < n) or u == v:
                     raise GraphError(f"edge ({u}, {v}) is a self-loop or leaves 0..{n - 1}")
+                if v in adj[u]:
+                    raise GraphError(f"edge ({u}, {v}) repeats an earlier edge")
                 adj[u].add(v)
                 adj[v].add(u)
                 found += 1
@@ -243,6 +271,5 @@ def parse_edge_list(source: str | Iterable[str], max_vertices: int | None = None
         raise GraphError(f"line {lineno + 1}: input ends before the header 'n m'")
     if found != m:
         raise GraphError(f"line {head}: header promises {m} edges, found {found}")
-    g = Graph.__new__(Graph)   # every edge and label was checked on its line
-    g._fill(n, adj, labels)
-    return g
+    # every edge and label was checked on its line
+    return Graph._of(n, tuple(tuple(sorted(s)) for s in adj), labels)

@@ -58,12 +58,12 @@ class InvalidCertificateError(ValueError):
 
 def is_ecd_set(g: Graph, p) -> bool:
     """True iff the closed neighborhoods of p partition V(G)."""
-    return first_violation(range(g.n), g.neighbors, p, closed=True) is None
+    return first_violation(g.n, g.neighbors, p, closed=True) is None
 
 
 def is_eod_set(g: Graph, d) -> bool:
     """True iff the open neighborhoods of d partition V(G)."""
-    return first_violation(range(g.n), g.neighbors, d, closed=False) is None
+    return first_violation(g.n, g.neighbors, d, closed=False) is None
 
 
 def _covers(n_primary: int, n_cols: int, rows, stats: dict | None = None) -> Iterator[list[int]]:
@@ -264,8 +264,7 @@ class EocdCertificate:
     def validate(self, g: Graph) -> None:
         if g.n != self.n:
             raise InvalidCertificateError(f"certificate is for n={self.n}, graph has n={g.n}")
-        for name, kind, problem in certificate_violations(range(g.n), g.neighbors,
-                                                          self.d, self.p):
+        for name, kind, problem in certificate_violations(g.n, g.neighbors, self.d, self.p):
             if problem:
                 raise InvalidCertificateError(f"{name} is not an {kind} set: {problem}")
 
@@ -469,11 +468,12 @@ def classify_partition(g: Graph, cert: EocdCertificate) -> StructureReport:
     dp, d_only, p_only = cert.dp, cert.d_only, cert.p_only
     r = cert.r
     checks: list[tuple[str, bool, str]] = []
-    counts = [[0, 0, 0] for _ in range(g.n)]   # neighbors in D&P, D-P, P-D
-    for k, part in enumerate((dp, d_only, p_only)):
+    counts = [0] * g.n, [0] * g.n, [0] * g.n   # neighbors in D&P, D-P, P-D
+    n_dp, n_do, n_po = counts
+    for count, part in zip(counts, (dp, d_only, p_only)):
         for w in part:
             for v in g.neighbors(w):
-                counts[v][k] += 1
+                count[v] += 1
 
     def bullet(name, vertices, pred):
         for v in vertices:
@@ -483,14 +483,13 @@ def classify_partition(g: Graph, cert: EocdCertificate) -> StructureReport:
         checks.append((name, True, ""))
 
     bullet("dp-vertices: one D-P neighbor, no P-D neighbors", sorted(dp),
-           lambda v: counts[v][1] == 1 and counts[v][2] == 0)
+           lambda v: n_do[v] == 1 and n_po[v] == 0)
     bullet("p-only vertices: one D-P neighbor, no D&P neighbors", sorted(p_only),
-           lambda v: counts[v][1] == 1 and counts[v][0] == 0)
+           lambda v: n_do[v] == 1 and n_dp[v] == 0)
 
     def two_way(v):
-        c_dp, c_do, c_po = counts[v]
-        return ((c_po == 1 and c_do == 1 and c_dp == 0)
-                or (c_dp == 1 and c_po == 0 and c_do == 0))
+        return ((n_po[v] == 1 and n_do[v] == 1 and n_dp[v] == 0)
+                or (n_dp[v] == 1 and n_po[v] == 0 and n_do[v] == 0))
 
     bullet("d-only vertices: (one P-D and one D-P neighbor) or one D&P neighbor",
            sorted(d_only), two_way)

@@ -8,6 +8,8 @@ graph.
 
 Each transform checks its input set and plan; that it returns an ECD code
 or an EOD set is what the construction proves, and what the tests check.
+Vertices are ids 0..n-1, and each output graph is built directly from the
+input's neighbor tuples in O(n + m), without an edge list to re-check.
 """
 
 from __future__ import annotations
@@ -52,17 +54,18 @@ def ecd_to_eod(g: Graph, p, plan: SplitPlan | None = None) -> tuple[Graph, Verte
     for v in plan:
         if v not in p:
             raise TransformError(f"plan mentions non-code vertex {v}")
-    split = {}
+    sides = {}   # code vertex -> the neighbors of v_A and of v_B, in id order
     for v in sorted(p):
         a, b = plan.get(v, (set(g.neighbors(v)), set()))
         a, b = set(a), set(b)
         if a & b or (a | b) != set(g.neighbors(v)):
             raise TransformError(f"plan for vertex {v} is not a partition of its neighborhood")
-        split[v] = (a, b)
-    side_b = {v: g.n + i for i, v in enumerate(sorted(p))}
-    edges = [(u, v) for u, v in g.edges() if u not in p and v not in p]
-    for v, (a, b) in split.items():
-        edges.append((v, side_b[v]))
-        edges.extend((u, v) for u in a)
-        edges.extend((u, side_b[v]) for u in b)
-    return Graph(g.n + len(p), edges), p | frozenset(side_b.values())
+        sides[v] = ([w for w in g.neighbors(v) if w not in b],
+                    [w for w in g.neighbors(v) if w in b])
+    adj = list(g._adj)   # a row whose neighborhood does not change is reused
+    for vb, (v, (a, b)) in enumerate(sides.items(), g.n):
+        adj[v] = (*a, vb)
+        adj.append(tuple(sorted((v, *b))))
+        for w in b:   # v is w's only code neighbor, and v_B is above every old id
+            adj[w] = (*(x for x in g.neighbors(w) if x != v), vb)
+    return Graph._of(len(adj), tuple(adj)), p | frozenset(range(g.n, len(adj)))

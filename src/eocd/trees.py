@@ -159,7 +159,8 @@ def _ids(fields: dict[str, str], key: str, count: int | None = None) -> tuple[in
 # labeled-tree internals
 
 def _check_cert(adj: dict, d: set, p: set, context: str) -> None:
-    for _, _, problem in certificate_violations(adj, adj.__getitem__, d, p):
+    """The full check, on a tree whose labels are 0..n-1 (`_adj_of`)."""
+    for _, _, problem in certificate_violations(len(adj), adj.__getitem__, d, p):
         if problem:
             raise OpPreconditionError(f"{context}: {problem}")
 
@@ -253,8 +254,7 @@ def _graph_of(adj: dict) -> Graph:
     if labels != list(range(len(adj))):
         raise OpPreconditionError(
             "replayed tree labels are not dense 0..n-1; renumber the sequence")
-    edges = [(u, v) for u in labels for v in adj[u] if u < v]
-    return Graph(len(labels), edges)
+    return Graph._of(len(labels), tuple(tuple(sorted(adj[v])) for v in labels))
 
 
 def apply_step(t: Graph, d, p, step: TreeOpStep) -> tuple[Graph, VertexSet, VertexSet]:

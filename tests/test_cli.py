@@ -243,6 +243,15 @@ def test_max_vertices_checked_on_the_header_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_repeated_edge_is_an_input_error(tmp_path, capsys):
+    g = tmp_path / "repeat.g"
+    g.write_text("3 3\n0 1\n1 2\n2 1\n")
+    for argv in (("solve", str(g)), ("verify", str(g), "--d", "0,1", "--p", "1")):
+        code, text, err = run(capsys, *argv)
+        assert code == 2 and text == ""
+        assert err == "error: line 4: edge (2, 1) repeats an earlier edge in '2 1'\n"
+
+
 def test_reduction_cap_checked_before_building(tmp_path, capsys, monkeypatch):
     import eocd.cli
 

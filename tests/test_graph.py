@@ -94,6 +94,16 @@ def test_parse_edge_list_errors_name_the_line(line_end_variants):
             assert str(info.value).startswith(where + ":") and what in str(info.value), text
 
 
+def test_parse_edge_list_rejects_a_repeated_edge(line_end_variants):
+    # either orientation repeats the edge; m counts distinct edges only
+    for text, where in (("3 3\n0 1\n1 2\n2 1\n", "line 4: edge (2, 1) repeats an earlier edge in '2 1'"),
+                        ("# c\n3 2\n0 1\n\n0 1\n", "line 5: edge (0, 1) repeats an earlier edge in '0 1'")):
+        for source in line_end_variants(text):
+            with pytest.raises(GraphError) as info:
+                parse_edge_list(source)
+            assert str(info.value) == where, text
+
+
 def test_parse_edge_list_reads_no_line_after_a_refusal(lines_then_fail):
     with pytest.raises(GraphError, match="^line 2: edge"):
         parse_edge_list(lines_then_fail(["3 1\n", "0 3\n"]))
@@ -111,37 +121,38 @@ def test_only_line_feeds_and_carriage_returns_end_lines(line_end_variants):
             parse_edge_list(source)
 
 
-def test_first_violation_on_graphs_and_label_dicts():
+def test_first_violation_on_dense_ids():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert first_violation(range(g.n), g.neighbors, {1, 2}, closed=False) is None
-    assert first_violation(range(g.n), g.neighbors, {0, 3}, closed=True) is None
-    assert first_violation(range(g.n), g.neighbors, {1}, closed=False) == (1, [])
-    assert first_violation(range(g.n), g.neighbors, {0, 1}, closed=True) == (0, [0, 1])
-    # the same path as a label-keyed dict, in a non-sorted vertex order
-    adj = {30: {20}, 20: {10, 30}, 10: {0, 20}, 0: {10}}
-    assert first_violation(adj, adj.__getitem__, {10, 20}, closed=False) is None
-    assert first_violation(adj, adj.__getitem__, {20}, closed=True) == (0, [])
-    assert first_violation(adj, adj.__getitem__, {20, 10}, closed=True) == (20, [10, 20])
+    assert first_violation(g.n, g.neighbors, {1, 2}, closed=False) is None
+    assert first_violation(g.n, g.neighbors, {0, 3}, closed=True) is None
+    assert first_violation(g.n, g.neighbors, {1}, closed=False) == (1, [])
+    assert first_violation(g.n, g.neighbors, {0, 1}, closed=True) == (0, [0, 1])
+    # the path 3-2-1-0 as an id-keyed dict of sets, as the tree calculus keeps it;
+    # the violation reported is the smallest id, whatever the dict's key order
+    adj = {3: {2}, 2: {1, 3}, 1: {0, 2}, 0: {1}}
+    assert first_violation(4, adj.__getitem__, {1, 2}, closed=False) is None
+    assert first_violation(4, adj.__getitem__, {2}, closed=True) == (0, [])
+    assert first_violation(4, adj.__getitem__, {2, 1}, closed=True) == (1, [1, 2])
+    assert first_violation(0, adj.__getitem__, set(), closed=False) is None
 
 
 def test_certificate_violations_checks_d_then_p():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert list(certificate_violations(range(g.n), g.neighbors, {1, 2}, {0, 3})) == [
+    assert list(certificate_violations(g.n, g.neighbors, {1, 2}, {0, 3})) == [
         ("D", "EOD", None), ("P", "ECD", None)]
-    assert list(certificate_violations(range(g.n), g.neighbors, {1}, {0, 1})) == [
+    assert list(certificate_violations(g.n, g.neighbors, {1}, {0, 1})) == [
         ("D", "EOD", "vertex 1 is uncovered by D"),
         ("P", "ECD", "vertex 0 is doubly covered by P (via 0 and 1)")]
 
 
 def test_first_violation_rejects_ids_outside_the_graph():
     g = Graph(2, [(0, 1)])
-    for bad in (-1, 2, 99):
+    for bad in (-1, g.n, 99):
         for closed in (False, True):
-            with pytest.raises(GraphError, match=str(bad)):
-                first_violation(range(g.n), g.neighbors, {0, bad}, closed)
-    adj = {5: {6}, 6: {5}}
-    with pytest.raises(GraphError, match="0"):
-        first_violation(adj, adj.__getitem__, {0}, closed=False)
+            with pytest.raises(GraphError, match=f"^vertex {bad} is not in the graph$"):
+                first_violation(g.n, g.neighbors, {0, bad}, closed)
+    with pytest.raises(GraphError, match="^vertex 'a' is not in the graph$"):
+        first_violation(g.n, g.neighbors, {"a"}, closed=False)
 
 
 @st.composite
