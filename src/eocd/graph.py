@@ -37,9 +37,11 @@ class Graph:
                 raise GraphError(f"self-loop ({u}, {v}) is not allowed")
             adj[u].add(v)
             adj[v].add(u)
-        for v in labels or ():
+        for v, name in (labels or {}).items():
             if not (0 <= v < n):
                 raise GraphError(f"label for unknown vertex {v}")
+            if not isinstance(name, str) or name.split() != [name] or "#" in name:
+                raise GraphError(f"label {name!r} of vertex {v} is not one token without '#'")
         self._fill(n, tuple(tuple(sorted(s)) for s in adj), labels)
 
     @classmethod
@@ -227,49 +229,62 @@ def parse_edge_list(source: str | Iterable[str], max_vertices: int | None = None
     one line at a time.  Every error names the 1-based line it is about,
     and nothing after that line is read.  A repeated edge is an error.
     A header with more than `max_vertices` vertices is rejected before
-    anything is allocated.
+    anything is allocated.  After the header, a `u v` line costs one
+    partition at its first space, two int() calls and one set lookup:
+    int() takes one literal with whitespace around it, so these are exactly
+    the lines that split() cuts into two integer tokens.  Other lines go
+    through the tokenizer.
     """
-    head = n = m = found = lineno = 0   # head: the header's line number, 0 until it is read
-    adj: list[set[int]] = []
+    head = n = m = lineno = 0   # head: the header's line number, 0 until it is read
     labels = {}
     for lineno, raw in enumerate(text_lines(source), 1):
-        tok = (raw.partition("#")[0] if "#" in raw else raw).split()
-        if not tok:
-            continue
         try:
-            if not head:
-                head = lineno
-                if len(tok) != 2:
-                    raise GraphError("header must be 'n m'")
-                n, m = int(tok[0]), int(tok[1])
-                if n < 0 or m < 0:
-                    raise GraphError("header counts must be >= 0")
-                if max_vertices is not None and n > max_vertices:
-                    raise GraphError(f"{n} vertices, above --max-vertices {max_vertices}")
-                adj = [set() for _ in range(n)]
-            elif tok[0] == "L":
-                if len(tok) != 3:
-                    raise GraphError("a label line is 'L v name'")
-                v = int(tok[1])
-                if not 0 <= v < n:
-                    raise GraphError(f"label for unknown vertex {v}")
-                labels[v] = tok[2]
-            else:
+            try:
+                if not head:
+                    raise ValueError   # the header goes through the tokenizer
+                a, _, b = raw.partition(" ")
+                u, v = int(a), int(b)
+            except ValueError:
+                tok = raw.partition("#")[0].split()
+                if not tok:
+                    continue
+                if not head:
+                    head = lineno
+                    if len(tok) != 2:
+                        raise GraphError("header must be 'n m'")
+                    n, m = int(tok[0]), int(tok[1])
+                    if n < 0 or m < 0:
+                        raise GraphError("header counts must be >= 0")
+                    if max_vertices is not None and n > max_vertices:
+                        raise GraphError(f"{n} vertices, above --max-vertices {max_vertices}")
+                    adj, seen = [[] for _ in range(n)], set()   # seen: min*n+max per edge
+                    continue
+                if tok[0] == "L":
+                    if len(tok) != 3:
+                        raise GraphError("a label line is 'L v name'")
+                    v = int(tok[1])
+                    if not 0 <= v < n:
+                        raise GraphError(f"label for unknown vertex {v}")
+                    labels[v] = tok[2]
+                    continue
                 if len(tok) != 2:
                     raise GraphError("an edge line is 'u v'")
                 u, v = int(tok[0]), int(tok[1])
-                if not (0 <= u < n and 0 <= v < n) or u == v:
-                    raise GraphError(f"edge ({u}, {v}) is a self-loop or leaves 0..{n - 1}")
-                if v in adj[u]:
-                    raise GraphError(f"edge ({u}, {v}) repeats an earlier edge")
-                adj[u].add(v)
-                adj[v].add(u)
-                found += 1
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise GraphError(f"edge ({u}, {v}) is a self-loop or leaves 0..{n - 1}")
+            key = u * n + v if u < v else v * n + u
+            if key in seen:
+                raise GraphError(f"edge ({u}, {v}) repeats an earlier edge")
+            seen.add(key)
+            adj[u].append(v)
+            adj[v].append(u)
         except ValueError as exc:   # GraphError, or int() on a non-integer
-            raise GraphError(f"line {lineno}: {exc} in {' '.join(tok)!r}") from None
+            words = " ".join(raw.partition("#")[0].split())
+            raise GraphError(f"line {lineno}: {exc} in {words!r}") from None
     if not head:
         raise GraphError(f"line {lineno + 1}: input ends before the header 'n m'")
-    if found != m:
-        raise GraphError(f"line {head}: header promises {m} edges, found {found}")
-    # every edge and label was checked on its line
-    return Graph._of(n, tuple(tuple(sorted(s)) for s in adj), labels)
+    if len(seen) != m:
+        raise GraphError(f"line {head}: header promises {m} edges, found {len(seen)}")
+    for row in adj:   # every edge and label was checked on its line
+        row.sort()
+    return Graph._of(n, tuple(map(tuple, adj)), labels)

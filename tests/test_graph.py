@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eocd.graph import (
     Graph,
@@ -11,6 +11,7 @@ from eocd.graph import (
     first_violation,
     is_tree,
     parse_edge_list,
+    text_lines,
 )
 
 
@@ -66,6 +67,17 @@ def test_edge_list_format_round_trip():
     assert h.labels == {0: "a", 2: "c"}
 
 
+def test_rejects_labels_the_edge_list_format_cannot_carry():
+    # a label is written as the third token of an `L v name` line
+    for name in ("a b", "", " a", "a\t", "x#y", "#", 5, None):
+        with pytest.raises(GraphError, match="^label .* of vertex 1 is not one token without '#'$"):
+            Graph(2, [(0, 1)], labels={0: "a", 1: name})
+    with pytest.raises(GraphError, match="^label for unknown vertex 2$"):
+        Graph(2, [(0, 1)], labels={2: "a"})
+    g = Graph(2, [(0, 1)], labels={0: "x_1", 1: "\u00e9-0"})
+    assert parse_edge_list(dump_edge_list(g)).labels == {0: "x_1", 1: "\u00e9-0"}
+
+
 def test_parse_edge_list_comments_and_errors():
     g = parse_edge_list("# a triangle\n3 3\n0 1\n1 2\n0 2\n")
     assert g.m == 3
@@ -109,6 +121,18 @@ def test_parse_edge_list_reads_no_line_after_a_refusal(lines_then_fail):
         parse_edge_list(lines_then_fail(["3 1\n", "0 3\n"]))
     with pytest.raises(GraphError, match="^line 1: 100 vertices, above --max-vertices 10"):
         parse_edge_list(lines_then_fail(["100 0\n"]), max_vertices=10)
+    refusals = [
+        (["3 2\n", "0 1\n", "1 0\n"], r"^line 3: edge \(1, 0\) repeats an earlier edge in '1 0'$"),
+        (["3 1\n", "1 1\n"], r"^line 2: edge \(1, 1\) is a self-loop or leaves 0..2 in '1 1'$"),
+        (["3 1\n", "-1 2\n"], r"^line 2: edge \(-1, 2\) is a self-loop or leaves 0..2 in '-1 2'$"),
+        (["# c\n", "2 1\n", "0 2\n"], r"^line 3: edge \(0, 2\) is a self-loop or leaves 0..1 in '0 2'$"),
+    ]
+    for lines, message in refusals:
+        with pytest.raises(GraphError, match=message):
+            parse_edge_list(lines_then_fail(lines))
+    # a header-shaped line after a comment is the header, refused where it stands
+    with pytest.raises(GraphError, match="^line 2: 2 vertices, above --max-vertices 1 in '2 1'$"):
+        parse_edge_list(lines_then_fail(["# c\n", "2 1\n"]), max_vertices=1)
     g = parse_edge_list(iter(["2 1\n", "0 1\n"]))
     assert list(g.edges()) == [(0, 1)]
 
@@ -163,9 +187,154 @@ def graphs(draw, max_n=10):
     return Graph(n, edges)
 
 
-@given(graphs())
-def test_dump_parse_identity(g):
-    assert sorted(parse_edge_list(dump_edge_list(g)).edges()) == sorted(g.edges())
+def _is_label(name):
+    return name.split() == [name] and "#" not in name
+
+
+@given(graphs(), st.data())
+def test_dump_parse_identity(g, data):
+    labels = data.draw(st.dictionaries(st.integers(0, g.n - 1), st.text(min_size=1).filter(_is_label)))
+    g = Graph(g.n, g.edges(), labels)
+    h = parse_edge_list(dump_edge_list(g))
+    assert sorted(h.edges()) == sorted(g.edges())
+    assert h.labels == labels
+
+
+def _reference_parse_edge_list(source, max_vertices=None):
+    """The set-based parser that `parse_edge_list` replaced, kept as the
+    oracle for its accepted graphs and its error messages."""
+    head = n = m = found = lineno = 0
+    adj = []
+    labels = {}
+    for lineno, raw in enumerate(text_lines(source), 1):
+        tok = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not tok:
+            continue
+        try:
+            if not head:
+                head = lineno
+                if len(tok) != 2:
+                    raise GraphError("header must be 'n m'")
+                n, m = int(tok[0]), int(tok[1])
+                if n < 0 or m < 0:
+                    raise GraphError("header counts must be >= 0")
+                if max_vertices is not None and n > max_vertices:
+                    raise GraphError(f"{n} vertices, above --max-vertices {max_vertices}")
+                adj = [set() for _ in range(n)]
+            elif tok[0] == "L":
+                if len(tok) != 3:
+                    raise GraphError("a label line is 'L v name'")
+                v = int(tok[1])
+                if not 0 <= v < n:
+                    raise GraphError(f"label for unknown vertex {v}")
+                labels[v] = tok[2]
+            else:
+                if len(tok) != 2:
+                    raise GraphError("an edge line is 'u v'")
+                u, v = int(tok[0]), int(tok[1])
+                if not (0 <= u < n and 0 <= v < n) or u == v:
+                    raise GraphError(f"edge ({u}, {v}) is a self-loop or leaves 0..{n - 1}")
+                if v in adj[u]:
+                    raise GraphError(f"edge ({u}, {v}) repeats an earlier edge")
+                adj[u].add(v)
+                adj[v].add(u)
+                found += 1
+        except ValueError as exc:
+            raise GraphError(f"line {lineno}: {exc} in {' '.join(tok)!r}") from None
+    if not head:
+        raise GraphError(f"line {lineno + 1}: input ends before the header 'n m'")
+    if found != m:
+        raise GraphError(f"line {head}: header promises {m} edges, found {found}")
+    return Graph._of(n, tuple(tuple(sorted(s)) for s in adj), labels)
+
+
+_SEPS = st.sampled_from([" ", "  ", "\t", "\x0c", " \t", "\x0b", "\u3000"])
+_PADS = st.sampled_from(["", "", " ", "\t", "\x0c", " \x0c "])
+_DIGITS = {"arabic": "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+           "fullwidth": "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"}
+_JUNK = ["x", "1 x", "L", "L 0", "L 0 a b", "L x a", "L 9 a", "1#2", "- 1", "1 2 3", "7",
+         "1__0 1", "_1 0", "1 2_", "0x1 0", "1.0 0", "\u00bd 1", "\x00"]
+
+
+@st.composite
+def _id_text(draw, token):
+    """`token`, an integer or a name, written in one of the forms int() takes or refuses."""
+    style = draw(st.sampled_from(["", "", "+", "0", "_", "-", *_DIGITS]))
+    if style in ("+", "0", "-"):
+        return style + token
+    if style == "_":
+        return "_".join(token)   # "1_0" is ten; "1" stays "1"
+    if style:
+        return token.translate(str.maketrans("0123456789", _DIGITS[style]))
+    return token
+
+
+@st.composite
+def _line(draw, tokens):
+    """A line of `tokens`, restyled: separators, padding, id forms, a trailing comment."""
+    words = [draw(_id_text(t)) if t.isdigit() and draw(st.booleans()) else t for t in tokens]
+    text = draw(_PADS) + "".join(w + draw(_SEPS) for w in words[:-1]) + (words[-1] if words else "")
+    text += draw(_PADS)
+    return text + draw(st.sampled_from(["", "", "#", " # c", "#1 2"]))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts: a dump of a random labelled graph, then a few mutations
+    (comments, blank lines, restyled lines, stray tokens, bad or repeated
+    edges, a wrong edge count), or a short random text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(alphabet=" \t\x0c#L0123-+_x\n\r\u0661", max_size=30))
+    g = draw(graphs(max_n=6))
+    labels = draw(st.dictionaries(st.integers(0, g.n - 1),
+                                  st.sampled_from(["a", "x_1", "L", "\u00e9", "12"]), max_size=3))
+    lines = dump_edge_list(Graph(g.n, g.edges(), labels)).split("\n")[:-1]
+    ids = st.integers(-1, g.n).map(str)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["comment", "blank", "restyle", "restyle", "tokens",
+                                     "edge", "repeat", "count", "junk"]))
+        if kind == "comment":
+            lines.insert(i, draw(_PADS) + "#" + draw(st.sampled_from(["", " c", "1 2", "#"])))
+        elif kind == "blank":
+            lines.insert(i, draw(_PADS))
+        elif kind == "restyle" and i < len(lines):
+            lines[i] = draw(_line(lines[i].split()))
+        elif kind == "tokens":
+            lines.insert(i, draw(_line(draw(st.lists(ids, min_size=1, max_size=3)))))
+        elif kind == "edge":
+            lines.insert(i, draw(_line([draw(ids), draw(ids)])))
+        elif kind == "repeat" and g.m:
+            u, v = draw(st.sampled_from(list(g.edges())))
+            lines.insert(i, draw(_line([str(u), str(v)] if draw(st.booleans()) else [str(v), str(u)])))
+        elif kind == "count":
+            lines[0] = f"{g.n} {draw(st.integers(0, g.m + 2))}"
+        elif kind == "junk":
+            lines.insert(i, draw(st.sampled_from(_JUNK)))
+    return "".join(line + "\n" for line in lines)
+
+
+def _outcome(parse, source):
+    try:
+        g = parse(source)
+    except GraphError as exc:
+        return str(exc)
+    return g.n, g._adj, g.labels
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edge_list_texts())
+def test_parse_edge_list_matches_the_reference_parser(line_end_variants, text):
+    # the same graph, or the same message naming the same line, on a str and
+    # on a file with every line ending
+    for source in line_end_variants(text):
+        got = _outcome(parse_edge_list, source)
+        if not isinstance(source, str):
+            source.seek(0)
+        assert got == _outcome(_reference_parse_edge_list, source), text
+        if not isinstance(source, str):
+            source.close()
 
 
 @given(graphs())
