@@ -54,6 +54,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _vertex_cap(text: str) -> int:
+    """--max-vertices: refused when parsed if it is not a count, so that
+    no later refusal blames the input for it."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {cap}")
+    return cap
+
+
 def _read(fname: str, parse):
     """`parse` applied to the open file, which it reads line by line, so a
     refusal stops reading; an unreadable file is a usage error."""
@@ -245,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eocd",
         description="Efficient open/closed domination: solvers, generators, "
                     "tree operations, and the satisfiability reduction.")
-    top.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
+    top.add_argument("--max-vertices", type=_vertex_cap, default=DEFAULT_MAX_VERTICES,
                      help=f"exact-search size guard (default {DEFAULT_MAX_VERTICES})")
     top.add_argument("--labels", action="store_true",
                      help="print vertex labels instead of ids where available")

@@ -10,7 +10,11 @@ column with at most one live row, else on the one with the fewest (ties
 by smallest id), and tries rows in index order, so results are
 deterministic.  A low-count cursor finds that column without a scan from
 the head of the column list, so forced chains (paths, long legs of
-trees) are searched in linear time; `stats` records the effort.
+trees) are searched in linear time; `stats` records the effort.  The
+core takes its column index from the caller: neighborhoods are
+symmetric, so the EOD search passes the graph's own neighbor tuples as
+both rows and index, and the ECD search the tuples N(v) + (v,), with no
+second copy of the adjacency.
 
 `find_eod` and `find_ecd` take the first cover by open or closed
 neighborhoods.  `find_eocd` answers EMPTY_P_MINUS_D with the linear
@@ -66,18 +70,22 @@ def is_eod_set(g: Graph, d) -> bool:
     return first_violation(g.n, g.neighbors, d, closed=False) is None
 
 
-def _covers(n_primary: int, n_cols: int, rows, stats: dict | None = None) -> Iterator[list[int]]:
+def _covers(n_primary: int, rows, col_rows, stats: dict | None = None) -> Iterator[list[int]]:
     """Exact covers of columns 0..n_primary-1 by `rows`, as row-index lists.
 
-    Each row is a sequence of distinct column ids below `n_cols`.  Primary
+    Each row is a sequence of distinct column ids below len(col_rows), and
+    `col_rows[c]` holds the rows that contain column c, in any order.  A
+    symmetric system can pass one object as both: the open neighborhoods
+    N(v), and the closed ones N[v], are their own column index.  Primary
     columns (ids below n_primary) must be covered exactly once; the others
     are secondary and may be covered at most once.  Algorithm X with a
     frame stack instead of recursion: every column keeps its count of live
     rows, and the live primary columns form a doubly linked list in id
     order.  Each node branches on the first live primary column with at
     most one live row or, if there is none, on the one with the fewest
-    (ties to the smallest id), and tries its live rows in index order, so
-    the covers come out in a fixed order.
+    (ties to the smallest id), and tries its live rows in increasing row
+    index (the frame sorts that one column), so the covers come out in a
+    fixed order.
 
     A low-count cursor finds that column without a scan from the head.
     `lows` counts the live primary columns with at most one live row, and
@@ -97,10 +105,7 @@ def _covers(n_primary: int, n_cols: int, rows, stats: dict | None = None) -> Ite
     (picks taken back), `max_depth` (most rows in a partial cover) and
     `scanned` (columns the choice visited).
     """
-    col_rows: list[list[int]] = [[] for _ in range(n_cols)]
-    for r, cols in enumerate(rows):
-        for c in cols:
-            col_rows[c].append(r)
+    n_cols = len(col_rows)
     count = [len(rs) for rs in col_rows]
     head = n_cols   # above every column id; count[head] = 0 ends a walk round the list
     count.append(0)
@@ -116,8 +121,8 @@ def _covers(n_primary: int, n_cols: int, rows, stats: dict | None = None) -> Ite
     killed: list[int] = []   # rows made dead by the current picks, in order
     kill = killed.append
     chosen: list[int] = []   # the row picked in each frame
-    # frames: [column, next index into col_rows[column], then len(killed),
-    # low and lows as they were before the frame's picks]
+    # frames: [the column's rows in increasing index, the next index into
+    # them, then len(killed), low and lows as they were before the frame's picks]
     stack: list[list[int]] = []
     backtracks = max_depth = scanned = 0
     descend = True
@@ -152,7 +157,7 @@ def _covers(n_primary: int, n_cols: int, rows, stats: dict | None = None) -> Ite
                             scanned += 1
                         c = nxt[c]
                 if fewest:
-                    stack.append([best, 0, len(killed), low, lows])
+                    stack.append([sorted(col_rows[best]), 0, len(killed), low, lows])
         if not stack:
             if stats is not None:
                 _fill(stats, backtracks, max_depth, chosen, scanned)
@@ -173,8 +178,7 @@ def _covers(n_primary: int, n_cols: int, rows, stats: dict | None = None) -> Ite
                 if c2 < n_primary:
                     nxt[prv[c2]] = c2
                     prv[nxt[c2]] = c2
-        c, i = frame[0], frame[1]
-        rs = col_rows[c]
+        rs, i = frame[0], frame[1]
         end = len(rs)
         while i < end and not live[rs[i]]:
             i += 1
@@ -210,6 +214,16 @@ def _covers(n_primary: int, n_cols: int, rows, stats: dict | None = None) -> Ite
         descend = True
 
 
+def _column_index(n_cols: int, rows) -> list[list[int]]:
+    """The rows that contain each of the columns 0..n_cols-1, for a row
+    system that is not its own column index."""
+    col_rows: list[list[int]] = [[] for _ in range(n_cols)]
+    for r, cols in enumerate(rows):
+        for c in cols:
+            col_rows[c].append(r)
+    return col_rows
+
+
 def _fill(stats: dict, backtracks: int, max_depth: int, chosen: list, scanned: int) -> None:
     """`_covers`' statistics: each pick opens one node, and is taken back
     or still chosen."""
@@ -219,9 +233,11 @@ def _fill(stats: dict, backtracks: int, max_depth: int, chosen: list, scanned: i
 
 def iter_efficient_sets(g: Graph, closed: bool, stats: dict | None = None) -> Iterator[VertexSet]:
     """Every ECD set (closed) or EOD set (open) of g, in a fixed order;
-    `stats` receives the search statistics of `_covers`."""
-    rows = [(*g.neighbors(v), v) if closed else g.neighbors(v) for v in range(g.n)]
-    for sol in _covers(g.n, g.n, rows, stats):
+    `stats` receives the search statistics of `_covers`.  Neighborhoods
+    are symmetric (w in N(v) iff v in N(w), and the same for N[.]), so the
+    rows are their own column index."""
+    rows = [(*nb, v) for v, nb in enumerate(g._adj)] if closed else g._adj
+    for sol in _covers(g.n, rows, rows, stats):
         yield frozenset(sol)
 
 
@@ -353,7 +369,7 @@ def find_eocd(g: Graph, mode: SearchMode = SearchMode.ANY) -> EocdCertificate | 
             center = 2 * k + i
             rows.append(opened + [center])
             rows.append([k + j for j in opened] + [k + i, center])
-        sol = next(_covers(2 * k, 3 * k, rows), None)
+        sol = next(_covers(2 * k, rows, _column_index(3 * k, rows)), None)
         if sol is None:
             return None
         for r in sol:

@@ -182,6 +182,19 @@ def test_max_vertices_guard(tmp_path, capsys):
     assert "max-vertices" in err
 
 
+@pytest.mark.parametrize("cap", ["-1", "-4096", "x", "1.5"])
+def test_bad_max_vertices_is_refused_when_parsed(cap, tmp_path, capsys):
+    p3 = tmp_path / "p3.g"
+    p3.write_text("3 2\n0 1\n1 2\n")
+    code, text, err = run(capsys, "--max-vertices", cap, "solve", str(p3))
+    assert code == 2 and text == ""
+    assert err.count("\n") == 1 and "argument --max-vertices" in err
+    assert "line" not in err and "p3.g" not in err
+    if cap.startswith("-"):
+        assert err == f"error: eocd: argument --max-vertices: must be 0 or more, got {cap}\n"
+    assert run(capsys, "--max-vertices", "3", "solve", str(p3))[0] == 0
+
+
 def test_generate_checks_max_vertices_before_building(capsys):
     # building P_2000000 takes seconds and Q_40 would exhaust memory
     for family, param, n in (("path", "2000000", 2000000), ("hypercube", "40", 2 ** 40)):

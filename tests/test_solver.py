@@ -1,5 +1,6 @@
 """Exact-cover solver against frozen values and a subset-enumeration oracle."""
 
+import hashlib
 import random
 from itertools import combinations
 from typing import Iterator
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from eocd.families import complete_bipartite, cycle, hypercube, path
 from eocd.graph import Graph, GraphError
+from eocd.sierpinski import sierpinski
 from eocd.solver import (
     EocdCertificate,
     InvalidCertificateError,
@@ -24,7 +26,7 @@ from eocd.solver import (
     is_eod_set,
     iter_efficient_sets,
 )
-from eocd.solver import _covers
+from eocd.solver import _column_index, _covers
 
 PETERSEN = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                       (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
@@ -364,6 +366,31 @@ def test_path_eod_choice_scans_linearly(n):
     assert stats["max_depth"] == n // 2
 
 
+@pytest.mark.parametrize("build, closed, stats, digest", [
+    (lambda: path(1500), True, (1001, 500, 500, 1000),
+     "9266073882a93dc83a6985307d9ce2ffda620e17063568795be9994922d5bce7"),
+    (lambda: path(1500), False, (751, 0, 750, 1499),
+     "3301ac3be1872b648548cbe75c7281fd13baf6c19ab7011af09a06272412325b"),
+    (lambda: sierpinski(6, 4), False, (217, 0, 216, 31976),
+     "fa841e2ab4783e0b0227c98f0d32e8c437abd958d3bba76b3ff98dc490c2a6a1"),
+    (lambda: sierpinski(6, 4), True, (351, 164, 186, 22846),
+     "69e6c81317dcbef69577c68dfd44812cde57380226c189cba58d69acae519bae"),
+    (lambda: sierpinski(4, 5), False, (257, 0, 256, 12724),
+     "3e4720131ef5de87174101da43e626bbf7ab43d2e350dbc3aeeefad5852157cf"),
+    (lambda: sierpinski(4, 5), True, (245, 39, 205, 15698),
+     "de9de8844347ac13e3937e703883a74cf6a40484bbfdcc20c2d3ef38bff35620"),
+], ids=["path-1500-closed", "path-1500-open", "sierpinski-6-4-open",
+        "sierpinski-6-4-closed", "sierpinski-4-5-open", "sierpinski-4-5-closed"])
+def test_first_cover_statistics_are_pinned(build, closed, stats, digest):
+    """The search effort as counts, and the SHA-256 of the first cover's
+    sorted id list: a change to the column choice or to the order in which
+    rows are tried moves one of them."""
+    got = {}
+    first = next(iter_efficient_sets(build(), closed, stats=got))
+    assert got == dict(zip(("nodes", "backtracks", "max_depth", "scanned"), stats))
+    assert hashlib.sha256(repr(sorted(first)).encode()).hexdigest() == digest
+
+
 def test_search_statistics_of_full_enumerations():
     # open: every column has 2 rows, so each inner node stops on its first
     # column; the root and its two children scan once each
@@ -469,10 +496,16 @@ def _reference_covers(n_primary: int, n_cols: int, rows) -> Iterator[list[int]]:
 
 @st.composite
 def row_systems(draw):
-    """Random rows over primary and secondary columns, or the
-    EMPTY_INTERSECTION shape of a random graph: a D row (N(v) and
-    "center v") and a P row (N[v] shifted by k, and "center v") per vertex."""
-    if draw(st.booleans()):
+    """`(n_primary, n_cols, rows, own_index)`: random rows over primary and
+    secondary columns; the EMPTY_INTERSECTION shape of a random graph, a D
+    row (N(v) and "center v") and a P row (N[v] shifted by k, and "center
+    v") per vertex; or the ECD rows (*N(v), v) of a random graph, which are
+    their own column index (`own_index`)."""
+    kind = draw(st.sampled_from(["random", "empty-dp", "closed"]))
+    if kind == "closed":
+        g = draw(small_graphs())
+        return g.n, g.n, [(*g.neighbors(v), v) for v in range(g.n)], True
+    if kind == "empty-dp":
         g = draw(small_graphs())
         k = g.n
         rows = []
@@ -480,21 +513,27 @@ def row_systems(draw):
             opened = list(g.neighbors(v))
             rows.append(opened + [2 * k + v])
             rows.append([k + w for w in opened] + [k + v, 2 * k + v])
-        return 2 * k, 3 * k, rows
+        return 2 * k, 3 * k, rows, False
     n_primary = draw(st.integers(min_value=0, max_value=9))
     n_cols = n_primary + draw(st.integers(min_value=0, max_value=4))
     row = st.lists(st.integers(min_value=0, max_value=n_cols - 1), unique=True,
                    min_size=1, max_size=min(n_cols, 5)) if n_cols else st.just([])
     rows = draw(st.lists(row, max_size=16))
-    return n_primary, n_cols, rows
+    return n_primary, n_cols, rows, False
 
 
 @given(row_systems())
 @settings(max_examples=400, deadline=None)
-@example((0, 0, []))
-@example((3, 3, [[0], [1], [2], [0, 1, 2]]))
-@example((2, 3, [[0, 2], [1, 2], [0], [1]]))
+@example((0, 0, [], False))
+@example((3, 3, [[0], [1], [2], [0, 1, 2]], False))
+@example((2, 3, [[0, 2], [1, 2], [0], [1]], False))
+@example((2, 2, [(1, 0), (0, 1)], True))                  # K_2, closed
+@example((3, 3, [(1, 2, 0), (0, 2, 1), (0, 1, 2)], True))   # K_3, closed
 def test_cursor_choice_keeps_the_enumeration_order(system):
-    n_primary, n_cols, rows = system
-    assert list(_covers(n_primary, n_cols, rows)) == \
+    n_primary, n_cols, rows, own_index = system
+    if own_index:
+        col_rows = rows
+    else:   # in decreasing row index: the core must order the column itself
+        col_rows = [rs[::-1] for rs in _column_index(n_cols, rows)]
+    assert list(_covers(n_primary, rows, col_rows)) == \
         list(_reference_covers(n_primary, n_cols, rows))
