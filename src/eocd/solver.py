@@ -5,16 +5,17 @@ neighborhoods; EOD sets are exact covers by open neighborhoods.  Every
 search runs through one exact-cover core, `_covers`: Algorithm X after
 Knuth's "Dancing Links" (arXiv cs/0011047), iterative with its own frame
 stack, so search depth is not bounded by Python's recursion limit.  It
-keeps a live-row count per column, branches on the first uncovered
-column with at most one live row, else on the one with the fewest (ties
-by smallest id), and tries rows in index order, so results are
-deterministic.  A low-count cursor finds that column without a scan from
-the head of the column list, so forced chains (paths, long legs of
-trees) are searched in linear time; `stats` records the effort.  The
-core takes its column index from the caller: neighborhoods are
-symmetric, so the EOD search passes the graph's own neighbor tuples as
-both rows and index, and the ECD search the tuples N(v) + (v,), with no
-second copy of the adjacency.
+keeps a live-row count per column, picks from the first uncovered column
+with at most one live row, else from the one with the fewest (ties by
+smallest id), and tries rows in index order, so results are
+deterministic.  A low-count cursor finds that column without a scan, so
+forced chains (paths, long legs of trees) are searched in linear time,
+and only a column with two or more live rows opens a frame: a forced
+pick rides on the frame below and is undone with its pick; `stats`
+records the effort.  The core takes its column index from the caller:
+neighborhoods are symmetric, so the EOD search passes the graph's own
+neighbor tuples as both rows and index, and the ECD search the tuples
+N(v) + (v,), with no second copy of the adjacency.
 
 `find_eod` and `find_ecd` take the first cover by open or closed
 neighborhoods.  `find_eocd` answers EMPTY_P_MINUS_D with the linear
@@ -81,29 +82,34 @@ def _covers(n_primary: int, rows, col_rows, stats: dict | None = None) -> Iterat
     are secondary and may be covered at most once.  Algorithm X with a
     frame stack instead of recursion: every column keeps its count of live
     rows, and the live primary columns form a doubly linked list in id
-    order.  Each node branches on the first live primary column with at
-    most one live row or, if there is none, on the one with the fewest
+    order.  Each node picks from the first live primary column with at
+    most one live row or, if there is none, from the one with the fewest
     (ties to the smallest id), and tries its live rows in increasing row
-    index (the frame sorts that one column), so the covers come out in a
-    fixed order.
+    index, so the covers come out in a fixed order.  Only a column with
+    two or more live rows opens a frame (which sorts that column); a
+    column with one is a forced pick, made inline, and rides on the frame
+    below.  A take-back undoes the frame's pick with its forced tail: it
+    restores the rows killed since the frame at once, relinks the picks'
+    primary columns last pick first, and resets the cursor from the frame.
 
-    A low-count cursor finds that column without a scan from the head.
-    `lows` counts the live primary columns with at most one live row, and
-    every live primary column below `low` (a live column, or the head) has
-    two or more.  A pick first unlinks its row's primary columns, lowering
-    `lows` for each with one row and moving `low` past them, so that their
-    counts cannot pull `low` back on their way to 0; then each kill that
-    brings a live column down to one row raises `lows` and, below `low`,
-    moves `low` there.  A take-back restores both from the frame.  With
-    `lows` > 0 the walk from `low` stops at the first column with at most
-    one row; with `lows` == 0 a walk from the head stops at the first with
-    two, the fewest left.  So a forced chain costs O(1) per node, not O(n),
-    and the kill loop pays one `== 1` test per count it lowers.
+    A low-count cursor finds the column to pick from without a scan from
+    the head.  `lows` counts the live primary columns with at most one
+    live row, and every live primary column below `low` (a live column, or
+    the head) has two or more.  A pick first unlinks its row's primary
+    columns, lowering `lows` for each with one row and moving `low` past
+    them, so that their counts cannot pull `low` back on their way to 0;
+    then each kill that brings a live column down to one row raises `lows`
+    and, below `low`, moves `low` there.  With `lows` > 0 the walk from
+    `low` stops at the first column with at most one row; with `lows` == 0
+    a walk from the head stops at the first with two, the fewest left.  So
+    a forced chain costs O(1) per node, not O(n), and the kill loop pays
+    one `== 1` test per count it lowers.
 
     If `stats` is a dict, it is filled in whenever a cover is yielded and
     when the search ends: `nodes` (partial covers visited), `backtracks`
-    (picks taken back), `max_depth` (most rows in a partial cover) and
-    `scanned` (columns the choice visited).
+    (picks taken back, forced ones included, and the end of the search
+    takes back the picks forced before any frame), `max_depth` (most rows
+    in a partial cover) and `scanned` (columns the choice visited).
     """
     n_cols = len(col_rows)
     count = [len(rs) for rs in col_rows]
@@ -120,74 +126,78 @@ def _covers(n_primary: int, rows, col_rows, stats: dict | None = None) -> Iterat
     live = [True] * len(rows)
     killed: list[int] = []   # rows made dead by the current picks, in order
     kill = killed.append
-    chosen: list[int] = []   # the row picked in each frame
+    chosen: list[int] = []   # the rows picked, branching and forced
     # frames: [the column's rows in increasing index, the next index into
-    # them, then len(killed), low and lows as they were before the frame's picks]
-    stack: list[list[int]] = []
+    # them, then len(killed), low, lows and len(chosen) before its pick];
+    # the rowless root takes back the picks forced before the first frame
+    stack: list[list] = [[(), 0, 0, low, lows, 0]]
     backtracks = max_depth = scanned = 0
-    descend = True
     while True:
-        if descend:
-            if nxt[head] == head:
-                if stats is not None:
-                    _fill(stats, backtracks, max_depth, chosen, scanned)
-                yield list(chosen)
-            else:
-                if lows:
-                    c = low
-                    while count[c] > 1:
-                        scanned += 1
-                        c = nxt[c]
-                    scanned += 1
-                    best = low = c
-                    fewest = count[c]
-                else:
-                    best, fewest, low = head, len(rows) + 1, head
-                    c = nxt[head]
-                    while True:
-                        k = count[c]
-                        if k < fewest:
-                            if c == head:
-                                break
-                            scanned += 1
-                            best, fewest = c, k
-                            if k == 2:
-                                break
-                        else:
-                            scanned += 1
-                        c = nxt[c]
-                if fewest:
-                    stack.append([sorted(col_rows[best]), 0, len(killed), low, lows])
-        if not stack:
+        if nxt[head] == head:
             if stats is not None:
                 _fill(stats, backtracks, max_depth, chosen, scanned)
-            return
-        frame = stack[-1]
-        if len(chosen) == len(stack):   # take back this frame's last pick
-            backtracks += 1
-            if len(chosen) > max_depth:
-                max_depth = len(chosen)
-            r = chosen.pop()
-            _, _, mark, low, lows = frame
-            for r2 in killed[mark:]:   # in any order: each only adds back
-                live[r2] = True
-                for c2 in rows[r2]:
-                    count[c2] += 1
-            del killed[mark:]
-            for c2 in reversed(rows[r]):
-                if c2 < n_primary:
-                    nxt[prv[c2]] = c2
-                    prv[nxt[c2]] = c2
-        rs, i = frame[0], frame[1]
-        end = len(rs)
-        while i < end and not live[rs[i]]:
-            i += 1
-        if i == end:
-            stack.pop()
-            descend = False
-            continue
-        r = rs[i]
-        frame[1] = i + 1
+            yield list(chosen)
+            fewest = 0
+        elif lows:
+            c = low
+            while count[c] > 1:
+                scanned += 1
+                c = nxt[c]
+            scanned += 1
+            best = low = c
+            fewest = count[c]
+        else:
+            best, fewest, low = head, len(rows) + 1, head
+            c = nxt[head]
+            while True:
+                k = count[c]
+                if k < fewest:
+                    if c == head:
+                        break
+                    scanned += 1
+                    best, fewest = c, k
+                    if k == 2:
+                        break
+                else:
+                    scanned += 1
+                c = nxt[c]
+        if fewest == 1:   # forced: its one live row is picked with no frame
+            for r in col_rows[best]:
+                if live[r]:
+                    break
+        else:
+            if fewest:
+                stack.append([sorted(col_rows[best]), 0, len(killed), low, lows, len(chosen)])
+            while True:
+                if not stack:
+                    if stats is not None:
+                        _fill(stats, backtracks, max_depth, chosen, scanned)
+                    return
+                frame = stack[-1]
+                rs, i, mark, _, _, depth = frame
+                if len(chosen) > depth:   # take back the frame's pick and its forced tail
+                    backtracks += len(chosen) - depth
+                    if len(chosen) > max_depth:
+                        max_depth = len(chosen)
+                    for r2 in killed[mark:]:   # in any order: each only adds back
+                        live[r2] = True
+                        for c2 in rows[r2]:
+                            count[c2] += 1
+                    del killed[mark:]
+                    while len(chosen) > depth:   # the last pick first
+                        for c2 in reversed(rows[chosen.pop()]):
+                            if c2 < n_primary:
+                                nxt[prv[c2]] = c2
+                                prv[nxt[c2]] = c2
+                    low, lows = frame[3], frame[4]
+                end = len(rs)
+                while i < end and not live[rs[i]]:
+                    i += 1
+                if i < end:
+                    break
+                stack.pop()
+            r = rs[i]
+            frame[1] = i + 1
         chosen.append(r)
         picked = rows[r]
         for c2 in picked:
@@ -211,7 +221,6 @@ def _covers(n_primary: int, rows, col_rows, stats: dict | None = None) -> Iterat
                             lows += 1
                             if c3 < low:
                                 low = c3
-        descend = True
 
 
 def _column_index(n_cols: int, rows) -> list[list[int]]:
@@ -526,6 +535,15 @@ def classify_partition(g: Graph, cert: EocdCertificate) -> StructureReport:
     return StructureReport(checks)
 
 
+def _vertex_set(g: Graph, s) -> VertexSet:
+    """s as a set of vertices of g; an id outside 0..n-1 raises GraphError."""
+    s = frozenset(s)
+    for v in s:
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
+    return s
+
+
 def check_empty_dp_characterization(g: Graph, a) -> bool:
     """Characterization of EOCD graphs with disjoint D and P.
 
@@ -533,10 +551,7 @@ def check_empty_dp_characterization(g: Graph, a) -> bool:
     be adjacent to exactly one degree-1 vertex of <A> and exactly one
     degree-2 vertex of <A>.
     """
-    a = frozenset(a)
-    for v in a:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
+    a = _vertex_set(g, a)
     if not _is_disjoint_p4s(g, a):
         return False
     deg_in_a = {v: sum(1 for w in g.neighbors(v) if w in a) for v in a}
@@ -557,7 +572,7 @@ def check_empty_pd_characterization(g: Graph, d) -> bool:
     a vertex of degree 1 in G, and every outside vertex must be adjacent
     to exactly one matched vertex, namely the designated P-endpoint.
     """
-    d = frozenset(d)
+    d = _vertex_set(g, d)
     partner = {}
     for v in d:
         inside = [w for w in g.neighbors(v) if w in d]

@@ -41,9 +41,20 @@ def test_characterization_matches_search_on_the_atlas(mode, characterization):
     assert hits > 0
 
 
+@pytest.mark.parametrize("characterization", [
+    check_empty_dp_characterization, check_empty_pd_characterization,
+], ids=["empty-dp", "empty-pd"])
 @pytest.mark.parametrize("bad", [4, -1])
-def test_empty_dp_characterization_rejects_ids_outside_the_graph(bad):
+def test_characterizations_reject_ids_outside_the_graph(characterization, bad):
     p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert check_empty_dp_characterization(p4, {0, 1, 2, 3})   # D = {1, 2}, P = {0, 3}
     with pytest.raises(GraphError, match=f"vertex {bad} outside 0..3"):
-        check_empty_dp_characterization(p4, {0, 1, 2, bad})
+        characterization(p4, {0, 1, 2, bad})
+
+
+def test_empty_pd_characterization_does_not_alias_negative_ids():
+    # -3 would index vertex 0 of this P_3, whose D = {0, 1} is a nested certificate
+    p3 = Graph(3, [(0, 1), (0, 2)])
+    assert check_empty_pd_characterization(p3, {0, 1})
+    with pytest.raises(GraphError, match="vertex -3 outside 0..2"):
+        check_empty_pd_characterization(p3, {-3, 0, 1})

@@ -27,6 +27,7 @@ from eocd.solver import (
     iter_efficient_sets,
 )
 from eocd.solver import _column_index, _covers
+from eocd.trees import random_eocd_tree
 
 PETERSEN = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                       (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
@@ -350,7 +351,7 @@ def test_spider_ecd_search_statistics():
     stats = {}
     p = next(iter_efficient_sets(g, closed=True, stats=stats))
     assert p == frozenset([0] + [3 * i + 3 for i in range(1067)])
-    assert stats["nodes"] == 3201
+    assert stats == {"nodes": 3201, "backtracks": 2132, "max_depth": 1068, "scanned": 4267}
     assert stats["nodes"] == 1 + stats["backtracks"] + len(p)
 
 
@@ -497,7 +498,9 @@ def _reference_covers(n_primary: int, n_cols: int, rows) -> Iterator[list[int]]:
 @st.composite
 def row_systems(draw):
     """`(n_primary, n_cols, rows, own_index)`: random rows over primary and
-    secondary columns; the EMPTY_INTERSECTION shape of a random graph, a D
+    secondary columns, where each of the first few primary columns may lie
+    in a single row, so that the search starts with forced picks; the
+    EMPTY_INTERSECTION shape of a random graph, a D
     row (N(v) and "center v") and a P row (N[v] shifted by k, and "center
     v") per vertex; or the ECD rows (*N(v), v) of a random graph, which are
     their own column index (`own_index`)."""
@@ -514,11 +517,16 @@ def row_systems(draw):
             rows.append(opened + [2 * k + v])
             rows.append([k + w for w in opened] + [k + v, 2 * k + v])
         return 2 * k, 3 * k, rows, False
-    n_primary = draw(st.integers(min_value=0, max_value=9))
+    n_forced = draw(st.integers(min_value=0, max_value=3))
+    n_primary = n_forced + draw(st.integers(min_value=0, max_value=9))
     n_cols = n_primary + draw(st.integers(min_value=0, max_value=4))
-    row = st.lists(st.integers(min_value=0, max_value=n_cols - 1), unique=True,
-                   min_size=1, max_size=min(n_cols, 5)) if n_cols else st.just([])
+    others = st.integers(min_value=n_forced, max_value=n_cols - 1)
+    row = st.lists(others, unique=True, min_size=1, max_size=min(n_cols - n_forced, 5)) \
+        if n_cols > n_forced else st.just([])
     rows = draw(st.lists(row, max_size=16))
+    for j in range(n_forced):   # column j lies in one row: picked before any branch
+        extra = draw(st.lists(others, unique=True, max_size=3)) if n_cols > n_forced else []
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [j, *extra])
     return n_primary, n_cols, rows, False
 
 
@@ -537,3 +545,52 @@ def test_cursor_choice_keeps_the_enumeration_order(system):
         col_rows = [rs[::-1] for rs in _column_index(n_cols, rows)]
     assert list(_covers(n_primary, rows, col_rows)) == \
         list(_reference_covers(n_primary, n_cols, rows))
+
+
+@given(row_systems())
+@settings(max_examples=400, deadline=None)
+@example((0, 0, [], False))
+@example((2, 2, [[0], [1]], False))                      # forced to the cover, no branch
+@example((3, 3, [[0, 1], [1, 2]], False))               # forced, then a dead end
+@example((3, 3, [[0], [1], [2], [1, 2]], False))         # forced, then a branch
+def test_search_statistics_count_every_pick(system):
+    """Each pick opens one node, forced or not, and is taken back once: at
+    a cover the picks not yet taken back are the cover's rows, and after
+    the last cover every pick has been taken back."""
+    n_primary, n_cols, rows, own_index = system
+    col_rows = rows if own_index else _column_index(n_cols, rows)
+    stats = {}
+    for cover in _covers(n_primary, rows, col_rows, stats):
+        assert stats["nodes"] == 1 + stats["backtracks"] + len(cover)
+        assert stats["max_depth"] >= len(cover)
+    assert stats["nodes"] == 1 + stats["backtracks"]
+
+
+def _search_digest() -> str:
+    """SHA-256 of every open and closed cover of 2,000 seeded random graphs
+    on 0-12 vertices, each with the stats dict at its yield and at the end of
+    the enumeration, of each graph's EMPTY_INTERSECTION record, and of the
+    first closed cover with stats of `random_eocd_tree(600, 2)`."""
+    rng = random.Random(2015)
+    h = hashlib.sha256()
+    for _ in range(2000):
+        n = rng.randint(0, 12)
+        density = rng.choice((0.1, 0.2, 0.3, 0.5, 0.8))
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+        for closed in (False, True):
+            stats = {}
+            for s in iter_efficient_sets(g, closed, stats=stats):
+                h.update(repr((sorted(s), sorted(stats.items()))).encode())
+            h.update(repr(sorted(stats.items())).encode())
+        cert = find_eocd(g, SearchMode.EMPTY_INTERSECTION)
+        h.update(repr(cert and cert.to_record()).encode())
+    stats = {}
+    first = next(iter_efficient_sets(random_eocd_tree(600, 2)[0], True, stats=stats))
+    h.update(repr((sorted(first), sorted(stats.items()))).encode())
+    return h.hexdigest()
+
+
+def test_search_behaviour_digest_is_pinned():
+    """Covers, their order and all four stats counts of the search; a change
+    to the core that moves any of them moves the digest."""
+    assert _search_digest() == "a1b0acba83d0aa1882429a9d996166203fb504980331f8afdfc4a51beb05bf83"
