@@ -186,8 +186,8 @@ def contract_edges(g: Graph, matching: list[tuple[int, int]]) -> tuple[Graph, di
         vmap[max(u, v)] = vmap[min(u, v)]
     new = vmap.__getitem__   # increasing on the kept vertices
     rows = [tuple(map(new, adj[v])) for v in compress(range(g.n), keep)]
-    for i in {new(x) for u, v in matching for x in adj[max(u, v)]}:
-        rows[i] = tuple(sorted(rows[i]))   # the row names a merged end
+    for i in {new(x) for u, v in matching for x in adj[max(u, v)] if x != min(u, v)}:
+        rows[i] = tuple(sorted(rows[i]))   # names a merged end; the pair's own row is merged below
     for u, v in matching:   # merged neighbors of u and v may coincide
         merged = set(map(new, adj[u]))
         merged.update(map(new, adj[v]))
@@ -199,7 +199,7 @@ def contract_edges(g: Graph, matching: list[tuple[int, int]]) -> tuple[Graph, di
 def dump_edge_list(g: Graph) -> str:
     """Edge-list text: `n m` header, one `u v` line per edge, then labels."""
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    lines += [f"{u} {v}" for u, row in enumerate(g._adj) for v in row if u < v]
     lines.extend(f"L {v} {g.labels[v]}" for v in sorted(g.labels))
     return "\n".join(lines) + "\n"
 

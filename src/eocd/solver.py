@@ -314,11 +314,12 @@ def _nested_candidate(g: Graph) -> tuple[set[int], set[int]]:
     """
     d: set[int] = set()
     p: set[int] = set()
-    for v in range(g.n):   # ascending, so each support takes its smallest leaf
-        if g.degree(v) != 1:
+    adj = g._adj
+    for v, row in enumerate(adj):   # ascending, so each support takes its smallest leaf
+        if len(row) != 1:
             continue
-        (s,) = g.neighbors(v)
-        if g.degree(s) == 1:   # v and s form a K2 component
+        (s,) = row
+        if len(adj[s]) == 1:   # v and s form a K2 component
             if v < s:
                 d.update((v, s))
                 p.add(v)
@@ -355,7 +356,9 @@ def find_eocd(g: Graph, mode: SearchMode = SearchMode.ANY) -> EocdCertificate | 
     "center v" column, so at most one of them is picked and D and P stay
     disjoint.  The search is iterative, so its depth is not bounded by
     Python's recursion limit, but it stays exponential in the worst case.
+    `mode` is a SearchMode or its value; any other raises ValueError.
     """
+    mode = SearchMode(mode)
     if mode is SearchMode.EMPTY_P_MINUS_D:
         return recognize_empty_pd(g)
     if mode is SearchMode.ANY:
@@ -490,39 +493,39 @@ def _is_disjoint_p4s(g: Graph, s) -> bool:
 def classify_partition(g: Graph, cert: EocdCertificate) -> StructureReport:
     """Check every structural rule the partition (D&P, D-P, P-D, R) must obey."""
     cert.validate(g)
+    adj, n = g._adj, g.n
+    part = bytearray(n)   # 0: R, 1: D&P, 2: D-P, 3: P-D
+    for v in cert.d:
+        part[v] = 2
+    for v in cert.p:
+        part[v] = 1 if part[v] else 3
+    counts = [None, [0] * n, [0] * n, [0] * n]   # neighbors in D&P, D-P, P-D
+    for v, k in enumerate(part):
+        if k:
+            count = counts[k]
+            for w in adj[v]:
+                count[w] += 1
+    _, n_dp, n_do, n_po = counts
+    bad = [None] * 4   # per part, its smallest vertex that breaks the part's rule
+    for v, k in enumerate(part):
+        if bad[k] is not None:
+            continue
+        if k & 1:   # D&P and P-D: one D-P neighbor, none in P-D and D&P respectively
+            ok = n_do[v] == 1 and (n_po if k == 1 else n_dp)[v] == 0
+        else:   # R and D-P: (one P-D and one D-P neighbor) or one D&P neighbor
+            ok = (n_po[v] == 1 and n_do[v] == 1 and n_dp[v] == 0
+                  or n_dp[v] == 1 and n_po[v] == 0 and n_do[v] == 0)
+        if not ok:
+            bad[k] = v
+    two_way = "(one P-D and one D-P neighbor) or one D&P neighbor"
+    checks = [(name, bad[k] is None, "" if bad[k] is None else f"counterexample vertex {bad[k]}")
+              for k, name in ((1, "dp-vertices: one D-P neighbor, no P-D neighbors"),
+                              (3, "p-only vertices: one D-P neighbor, no D&P neighbors"),
+                              (2, f"d-only vertices: {two_way}"), (0, f"R vertices: {two_way}"))]
+
     dp, d_only, p_only = cert.dp, cert.d_only, cert.p_only
-    r = cert.r
-    checks: list[tuple[str, bool, str]] = []
-    counts = [0] * g.n, [0] * g.n, [0] * g.n   # neighbors in D&P, D-P, P-D
-    n_dp, n_do, n_po = counts
-    for count, part in zip(counts, (dp, d_only, p_only)):
-        for w in part:
-            for v in g.neighbors(w):
-                count[v] += 1
-
-    def bullet(name, vertices, pred):
-        for v in vertices:
-            if not pred(v):
-                checks.append((name, False, f"counterexample vertex {v}"))
-                return
-        checks.append((name, True, ""))
-
-    bullet("dp-vertices: one D-P neighbor, no P-D neighbors", sorted(dp),
-           lambda v: n_do[v] == 1 and n_po[v] == 0)
-    bullet("p-only vertices: one D-P neighbor, no D&P neighbors", sorted(p_only),
-           lambda v: n_do[v] == 1 and n_dp[v] == 0)
-
-    def two_way(v):
-        return ((n_po[v] == 1 and n_do[v] == 1 and n_dp[v] == 0)
-                or (n_dp[v] == 1 and n_po[v] == 0 and n_do[v] == 0))
-
-    bullet("d-only vertices: (one P-D and one D-P neighbor) or one D&P neighbor",
-           sorted(d_only), two_way)
-    bullet("R vertices: (one P-D and one D-P neighbor) or one D&P neighbor",
-           sorted(r), two_way)
-
-    matched = dp | {w for v in dp for w in g.neighbors(v) if w in d_only}
-    ok = all(sum(1 for w in g.neighbors(v) if w in matched) == 1 for v in matched)
+    matched = dp | {w for v in dp for w in adj[v] if w in d_only}
+    ok = all(len(matched.intersection(adj[v])) == 1 for v in matched)
     checks.append(("D&P with their D-P partners induce a matching", ok,
                    "" if ok else "induced subgraph is not a perfect matching"))
 

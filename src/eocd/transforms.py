@@ -4,7 +4,8 @@ An EOD set induces a matching; contracting that matching turns the graph
 into an ECD graph whose code is the set of contraction vertices.  In the
 other direction, splitting every code vertex of an ECD graph into two
 adjacent vertices (wiring its neighbors to either side) produces an EOD
-graph.
+graph.  By default a code vertex keeps all its neighbors and its new
+twin is a leaf; a plan can move any of them to the twin instead.
 
 Each transform checks its input set and plan; that it returns an ECD code
 or an EOD set is what the construction proves, and what the tests check.
@@ -31,9 +32,12 @@ def eod_to_ecd(g: Graph, d) -> tuple[Graph, VertexSet]:
     d = frozenset(d)
     if not is_eod_set(g, d):
         raise TransformError(f"{sorted(d)} is not an EOD set")
+    adj = g._adj
     matching = []
     for v in sorted(d):
-        w = next(u for u in g.neighbors(v) if u in d)   # d is EOD: v's one neighbor in d
+        for w in adj[v]:   # d is EOD: v's one neighbor in d
+            if w in d:
+                break
         if v < w:
             matching.append((v, w))
     contracted, vmap = contract_edges(g, matching)
@@ -54,18 +58,21 @@ def ecd_to_eod(g: Graph, p, plan: SplitPlan | None = None) -> tuple[Graph, Verte
     for v in plan:
         if v not in p:
             raise TransformError(f"plan mentions non-code vertex {v}")
+    rows = g._adj
     sides = {}   # code vertex -> the neighbors of v_A and of v_B, in id order
     for v in sorted(p):
-        a, b = plan.get(v, (set(g.neighbors(v)), set()))
+        if v not in plan:   # the default split: v_A keeps v's row, v_B is a leaf
+            sides[v] = (rows[v], ())
+            continue
+        a, b = plan[v]
         a, b = set(a), set(b)
-        if a & b or (a | b) != set(g.neighbors(v)):
+        if a & b or (a | b) != set(rows[v]):
             raise TransformError(f"plan for vertex {v} is not a partition of its neighborhood")
-        sides[v] = ([w for w in g.neighbors(v) if w not in b],
-                    [w for w in g.neighbors(v) if w in b])
-    adj = list(g._adj)   # a row whose neighborhood does not change is reused
+        sides[v] = ([w for w in rows[v] if w not in b], [w for w in rows[v] if w in b])
+    adj = list(rows)   # a row whose neighborhood does not change is reused
     for vb, (v, (a, b)) in enumerate(sides.items(), g.n):
         adj[v] = (*a, vb)
         adj.append(tuple(sorted((v, *b))))
         for w in b:   # v is w's only code neighbor, and v_B is above every old id
-            adj[w] = (*(x for x in g.neighbors(w) if x != v), vb)
+            adj[w] = (*(x for x in rows[w] if x != v), vb)
     return Graph._of(len(adj), tuple(adj)), p | frozenset(range(g.n, len(adj)))

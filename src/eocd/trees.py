@@ -360,6 +360,10 @@ def is_eocd_tree(t: Graph) -> tuple[VertexSet, VertexSet] | None:
     neighborhoods, rooted at 0.  All efficient sets of a graph have the
     same size, so every feasible choice costs the same and the cheapest
     is the first feasible one; a tie at the root puts 0 in the set.
+    Which child a state lifts is the first cheapest in the order of
+    `_adj_of`'s per-vertex sets, i.e. CPython's set iteration order, not
+    id order: the sorted rows `t._adj` pick other, equally valid
+    certificates, and the certificates pinned in the tests are these.
     """
     if not is_tree(t):
         raise ValueError("input is not a tree")

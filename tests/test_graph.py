@@ -191,10 +191,20 @@ def _is_label(name):
     return name.split() == [name] and "#" not in name
 
 
+def _reference_dump_edge_list(g):
+    """The `edges()`-based writer that `dump_edge_list` replaced, kept as
+    the oracle for its text."""
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    lines.extend(f"L {v} {g.labels[v]}" for v in sorted(g.labels))
+    return "\n".join(lines) + "\n"
+
+
 @given(graphs(), st.data())
 def test_dump_parse_identity(g, data):
     labels = data.draw(st.dictionaries(st.integers(0, g.n - 1), st.text(min_size=1).filter(_is_label)))
     g = Graph(g.n, g.edges(), labels)
+    assert dump_edge_list(g) == _reference_dump_edge_list(g)
     h = parse_edge_list(dump_edge_list(g))
     assert sorted(h.edges()) == sorted(g.edges())
     assert h.labels == labels

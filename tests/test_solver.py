@@ -26,7 +26,7 @@ from eocd.solver import (
     is_eod_set,
     iter_efficient_sets,
 )
-from eocd.solver import _column_index, _covers
+from eocd.solver import _column_index, _covers, _is_disjoint_p4s
 from eocd.trees import random_eocd_tree
 
 PETERSEN = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -128,6 +128,16 @@ def test_search_modes():
     assert find_eocd(path(8), SearchMode.EMPTY_INTERSECTION) is None
 
 
+def test_search_mode_is_the_enum_or_its_value():
+    for mode in SearchMode:
+        assert find_eocd(path(8), mode) == find_eocd(path(8), mode.value)
+    assert find_eocd(path(8), "any") is not None
+    assert find_eocd(path(4), "empty-pd") is None   # the forced P = {1, 2} is not an ECD set
+    assert find_eocd(path(4), "empty-dp") is not None
+    with pytest.raises(ValueError, match="'nested' is not a valid SearchMode"):
+        find_eocd(path(4), "nested")
+
+
 def test_structure_report_on_valid_certificate():
     g = path(12)
     cert = find_eocd(g)
@@ -148,11 +158,87 @@ def _brute_min_dominating(g, closed):
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
+def small_graphs(draw, max_n=7):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     return Graph(n, edges)
+
+
+@st.composite
+def grown_trees(draw):
+    return random_eocd_tree(draw(st.integers(1, 10)), draw(st.integers(0, 1 << 16)))[0]
+
+
+def _reference_classify_partition(g, cert):
+    """The set-based `classify_partition` that the id-ordered sweep
+    replaced, kept as the oracle for its checks and refusals."""
+    cert.validate(g)
+    dp, d_only, p_only = cert.dp, cert.d_only, cert.p_only
+    r = cert.r
+    checks = []
+    counts = [0] * g.n, [0] * g.n, [0] * g.n   # neighbors in D&P, D-P, P-D
+    n_dp, n_do, n_po = counts
+    for count, part in zip(counts, (dp, d_only, p_only)):
+        for w in part:
+            for v in g.neighbors(w):
+                count[v] += 1
+
+    def bullet(name, vertices, pred):
+        for v in vertices:
+            if not pred(v):
+                checks.append((name, False, f"counterexample vertex {v}"))
+                return
+        checks.append((name, True, ""))
+
+    bullet("dp-vertices: one D-P neighbor, no P-D neighbors", sorted(dp),
+           lambda v: n_do[v] == 1 and n_po[v] == 0)
+    bullet("p-only vertices: one D-P neighbor, no D&P neighbors", sorted(p_only),
+           lambda v: n_do[v] == 1 and n_dp[v] == 0)
+
+    def two_way(v):
+        return ((n_po[v] == 1 and n_do[v] == 1 and n_dp[v] == 0)
+                or (n_dp[v] == 1 and n_po[v] == 0 and n_do[v] == 0))
+
+    bullet("d-only vertices: (one P-D and one D-P neighbor) or one D&P neighbor",
+           sorted(d_only), two_way)
+    bullet("R vertices: (one P-D and one D-P neighbor) or one D&P neighbor",
+           sorted(r), two_way)
+
+    matched = dp | {w for v in dp for w in g.neighbors(v) if w in d_only}
+    ok = all(sum(1 for w in g.neighbors(v) if w in matched) == 1 for v in matched)
+    checks.append(("D&P with their D-P partners induce a matching", ok,
+                   "" if ok else "induced subgraph is not a perfect matching"))
+
+    partners_po = {w for v in p_only for w in g.neighbors(v) if w in d_only}
+    partners_po |= {w for v in partners_po for w in g.neighbors(v) if w in d_only}
+    four = p_only | partners_po
+    ok4 = _is_disjoint_p4s(g, four) and 2 * (len(four) // 4) == len(p_only)
+    checks.append(("P-D with their D-P partners induce k copies of P4, 2k = |P-D|",
+                   ok4, "" if ok4 else f"induced subgraph on {len(four)} vertices is not kP4"))
+    return checks
+
+
+@given(st.one_of(small_graphs(max_n=10), grown_trees()), st.data())
+@settings(max_examples=150, deadline=None)
+def test_classify_partition_matches_reference(g, data):
+    """Equal checks on every (D, P) pair of efficient sets, and equal
+    refusals on a drawn pair, which is almost never a certificate."""
+    ecds = list(iter_efficient_sets(g, closed=True))
+    for d in iter_efficient_sets(g, closed=False):
+        for p in ecds:
+            cert = EocdCertificate(g.n, d, p)
+            assert classify_partition(g, cert).checks == _reference_classify_partition(g, cert)
+    vertices = st.frozensets(st.integers(0, g.n - 1))
+    cert = EocdCertificate(g.n, data.draw(vertices), data.draw(vertices))
+    try:
+        want = _reference_classify_partition(g, cert)
+    except InvalidCertificateError as exc:
+        with pytest.raises(InvalidCertificateError) as got:
+            classify_partition(g, cert)
+        assert str(got.value) == str(exc)
+    else:
+        assert classify_partition(g, cert).checks == want
 
 
 @given(small_graphs())
