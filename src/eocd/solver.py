@@ -8,14 +8,15 @@ stack, so search depth is not bounded by Python's recursion limit.  It
 keeps a live-row count per column, picks from the first uncovered column
 with at most one live row, else from the one with the fewest (ties by
 smallest id), and tries rows in index order, so results are
-deterministic.  A low-count cursor finds that column without a scan, so
-forced chains (paths, long legs of trees) are searched in linear time,
-and only a column with two or more live rows opens a frame: a forced
-pick rides on the frame below and is undone with its pick; `stats`
-records the effort.  The core takes its column index from the caller:
-neighborhoods are symmetric, so the EOD search passes the graph's own
-neighbor tuples as both rows and index, and the ECD search the tuples
-N(v) + (v,), with no second copy of the adjacency.
+deterministic.  A min-heap of the columns whose count fell to one finds
+that column without a walk over the columns with more rows, so a forced
+pick (paths, trees) costs O(log n), and only a column with two or more
+live rows opens a frame: a forced pick rides on the frame below and is
+undone with its pick; `stats` records the effort.  The core takes its
+column index from the caller: neighborhoods are symmetric, so the EOD
+search passes the graph's own neighbor tuples as both rows and index,
+and the ECD search the tuples N(v) + (v,), with no second copy of the
+adjacency.
 
 `find_eod` and `find_ecd` take the first cover by open or closed
 neighborhoods.  `find_eocd` answers EMPTY_P_MINUS_D with the linear
@@ -34,6 +35,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import filterfalse
+from operator import add
 from typing import Iterator
 
 from .graph import (
@@ -90,29 +94,32 @@ def _covers(n_primary: int, rows, col_rows, stats: dict | None = None) -> Iterat
     column with one is a forced pick, made inline, and rides on the frame
     below.  A take-back undoes the frame's pick with its forced tail: it
     restores the rows killed since the frame at once, relinks the picks'
-    primary columns last pick first, and resets the cursor from the frame.
+    primary columns last pick first, and empties the heap.
 
-    A low-count cursor finds the column to pick from without a scan from
-    the head.  `lows` counts the live primary columns with at most one
-    live row, and every live primary column below `low` (a live column, or
-    the head) has two or more.  A pick first unlinks its row's primary
-    columns, lowering `lows` for each with one row and moving `low` past
-    them, so that their counts cannot pull `low` back on their way to 0;
-    then each kill that brings a live column down to one row raises `lows`
-    and, below `low`, moves `low` there.  With `lows` > 0 the walk from
-    `low` stops at the first column with at most one row; with `lows` == 0
-    a walk from the head stops at the first with two, the fewest left.  So
-    a forced chain costs O(1) per node, not O(n), and the kill loop pays
-    one `== 1` test per count it lowers.
+    `ones` is a min-heap of primary column ids that finds the column to
+    pick from without a walk from the head.  It starts with the primary
+    columns of at most one row, and a kill that brings a linked primary
+    column down to one row pushes it.  The choice pops entries until it
+    reaches a linked column: its count is 0 (a dead end) or 1 (a forced
+    pick), and it is the smallest live primary column with at most one
+    row.  Counts only fall and columns only unlink between take-backs, so
+    each column is pushed at most once, and a popped column that is no
+    longer linked is stale and dropped.  Only when the heap holds no
+    linked column does a walk from the head stop at the first column with
+    two rows, or else take the fewest.  A frame opens only where no live
+    primary column has fewer than two rows, so a take-back, which restores
+    a frame's state, empties the heap.  A forced pick then costs O(log n)
+    however many columns with more rows come before it.
 
     If `stats` is a dict, it is filled in whenever a cover is yielded and
     when the search ends: `nodes` (partial covers visited), `backtracks`
     (picks taken back, forced ones included, and the end of the search
     takes back the picks forced before any frame), `max_depth` (most rows
-    in a partial cover) and `scanned` (columns the choice visited).
+    in a partial cover) and `scanned` (heap entries popped, stale ones
+    included, plus columns walked from the head).
     """
     n_cols = len(col_rows)
-    count = [len(rs) for rs in col_rows]
+    count = list(map(len, col_rows))
     head = n_cols   # above every column id; count[head] = 0 ends a walk round the list
     count.append(0)
     nxt = [*range(1, n_cols + 1), 0]
@@ -120,17 +127,15 @@ def _covers(n_primary: int, rows, col_rows, stats: dict | None = None) -> Iterat
     if n_primary < n_cols:   # only the primary columns are linked
         last = n_primary - 1 if n_primary else head
         nxt[last], prv[head] = head, last
-    firsts = count[:n_primary]
-    lows = firsts.count(0) + firsts.count(1)
-    low = 0
+    ones = [c for c in range(n_primary) if count[c] < 2]   # ascending: already a heap
     live = [True] * len(rows)
     killed: list[int] = []   # rows made dead by the current picks, in order
     kill = killed.append
     chosen: list[int] = []   # the rows picked, branching and forced
     # frames: [the column's rows in increasing index, the next index into
-    # them, then len(killed), low, lows and len(chosen) before its pick];
-    # the rowless root takes back the picks forced before the first frame
-    stack: list[list] = [[(), 0, 0, low, lows, 0]]
+    # them, then len(killed) and len(chosen) before its pick]; the rowless
+    # root takes back the picks forced before the first frame
+    stack: list[list] = [[(), 0, 0, 0]]
     backtracks = max_depth = scanned = 0
     while True:
         if nxt[head] == head:
@@ -138,43 +143,42 @@ def _covers(n_primary: int, rows, col_rows, stats: dict | None = None) -> Iterat
                 _fill(stats, backtracks, max_depth, chosen, scanned)
             yield list(chosen)
             fewest = 0
-        elif lows:
-            c = low
-            while count[c] > 1:
-                scanned += 1
-                c = nxt[c]
-            scanned += 1
-            best = low = c
-            fewest = count[c]
         else:
-            best, fewest, low = head, len(rows) + 1, head
-            c = nxt[head]
-            while True:
-                k = count[c]
-                if k < fewest:
-                    if c == head:
-                        break
-                    scanned += 1
-                    best, fewest = c, k
-                    if k == 2:
-                        break
-                else:
-                    scanned += 1
-                c = nxt[c]
+            while ones:   # the smallest linked entry, if any, is the column to pick from
+                best = heappop(ones)
+                scanned += 1
+                if nxt[prv[best]] == best:
+                    fewest = count[best]
+                    break
+            else:   # no live column with at most one row: the first with two, else the fewest
+                best, fewest = head, len(rows) + 1
+                c = nxt[head]
+                while True:
+                    k = count[c]
+                    if k < fewest:
+                        if c == head:
+                            break
+                        scanned += 1
+                        best, fewest = c, k
+                        if k == 2:
+                            break
+                    else:
+                        scanned += 1
+                    c = nxt[c]
         if fewest == 1:   # forced: its one live row is picked with no frame
             for r in col_rows[best]:
                 if live[r]:
                     break
         else:
             if fewest:
-                stack.append([sorted(col_rows[best]), 0, len(killed), low, lows, len(chosen)])
+                stack.append([sorted(col_rows[best]), 0, len(killed), len(chosen)])
             while True:
                 if not stack:
                     if stats is not None:
                         _fill(stats, backtracks, max_depth, chosen, scanned)
                     return
                 frame = stack[-1]
-                rs, i, mark, _, _, depth = frame
+                rs, i, mark, depth = frame
                 if len(chosen) > depth:   # take back the frame's pick and its forced tail
                     backtracks += len(chosen) - depth
                     if len(chosen) > max_depth:
@@ -189,7 +193,7 @@ def _covers(n_primary: int, rows, col_rows, stats: dict | None = None) -> Iterat
                             if c2 < n_primary:
                                 nxt[prv[c2]] = c2
                                 prv[nxt[c2]] = c2
-                    low, lows = frame[3], frame[4]
+                    ones.clear()   # the frame opened with no live column of count 0 or 1
                 end = len(rs)
                 while i < end and not live[rs[i]]:
                     i += 1
@@ -205,10 +209,6 @@ def _covers(n_primary: int, rows, col_rows, stats: dict | None = None) -> Iterat
                 a, b = prv[c2], nxt[c2]
                 nxt[a] = b
                 prv[b] = a
-                if c2 == low:
-                    low = b
-                if count[c2] == 1:
-                    lows -= 1
         for c2 in picked:
             for r2 in col_rows[c2]:
                 if live[r2]:
@@ -218,9 +218,7 @@ def _covers(n_primary: int, rows, col_rows, stats: dict | None = None) -> Iterat
                         k = count[c3] - 1
                         count[c3] = k
                         if k == 1 and c3 < n_primary and nxt[prv[c3]] == c3:
-                            lows += 1
-                            if c3 < low:
-                                low = c3
+                            heappush(ones, c3)
 
 
 def _column_index(n_cols: int, rows) -> list[list[int]]:
@@ -245,7 +243,7 @@ def iter_efficient_sets(g: Graph, closed: bool, stats: dict | None = None) -> It
     `stats` receives the search statistics of `_covers`.  Neighborhoods
     are symmetric (w in N(v) iff v in N(w), and the same for N[.]), so the
     rows are their own column index."""
-    rows = [(*nb, v) for v, nb in enumerate(g._adj)] if closed else g._adj
+    rows = list(map(add, g._adj, zip(range(g.n)))) if closed else g._adj
     for sol in _covers(g.n, rows, rows, stats):
         yield frozenset(sol)
 
@@ -295,13 +293,15 @@ class EocdCertificate:
 
     def to_record(self) -> dict:
         """Machine-readable form with sorted vertex-id arrays."""
+        d, p = sorted(self.d), sorted(self.p)
+        in_p = self.p.__contains__
         return {
-            "D": sorted(self.d),
-            "P": sorted(self.p),
-            "dp": sorted(self.dp),
-            "d_only": sorted(self.d_only),
-            "p_only": sorted(self.p_only),
-            "r": sorted(self.r),
+            "D": d,
+            "P": p,
+            "dp": list(filter(in_p, d)),
+            "d_only": list(filterfalse(in_p, d)),
+            "p_only": list(filterfalse(self.d.__contains__, p)),
+            "r": list(filterfalse((self.d | self.p).__contains__, range(self.n))),
         }
 
 
