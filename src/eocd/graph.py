@@ -9,7 +9,6 @@ carry a separate label map.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
@@ -68,7 +67,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(len(a) for a in self._adj) // 2
+        return sum(map(len, self._adj)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -133,21 +132,19 @@ def certificate_violations(n: int, nbrs, d, p) -> Iterator[tuple[str, str, str |
 
 def connected_components(g: Graph) -> list[VertexSet]:
     """Partition of the vertices into components, ordered by minimum member."""
+    adj = g._adj
     seen = [False] * g.n
     comps = []
     for s in range(g.n):
         if seen[s]:
             continue
-        comp = []
         seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in g.neighbors(u):
+        comp = [s]
+        for u in comp:   # grows while it is read: breadth first from s
+            for w in adj[u]:
                 if not seen[w]:
                     seen[w] = True
-                    queue.append(w)
+                    comp.append(w)
         comps.append(frozenset(comp))
     return comps
 

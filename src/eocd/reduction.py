@@ -4,7 +4,9 @@ Every variable contributes a fixed 23-vertex gadget; every clause
 contributes one vertex wired to the u / u-bar vertex of each of its
 literals.  The resulting graph is an EOCD graph exactly when the formula
 has an assignment making exactly one literal per clause true, and
-witnesses translate constructively in both directions.
+witnesses translate constructively in both directions.  The graph is
+built once, through `Graph._of`, from one gadget template of sorted
+rows, checked when the module loads.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ GADGET_NAMES = (
 GADGET_SIZE = len(GADGET_NAMES)
 _OFF = {name: i for i, name in enumerate(GADGET_NAMES)}
 
-# The 30 gadget edges.
+# The 30 gadget edges, and the gadget's sorted rows by offset, checked once.
 GADGET_EDGES = (
     ("u", "ub"), ("u", "t1"), ("ub", "t1"),            # triangle
     ("u", "v1"), ("v1", "v2"), ("v2", "ub"),           # long path over v1, v2
@@ -40,6 +42,7 @@ GADGET_EDGES = (
     ("c1", "c2"), ("c2", "c3"), ("c3", "c4"), ("c4", "c5"),
     ("c5", "c6"), ("c6", "c7"), ("c7", "c1"),          # 7-cycle
 )
+_GADGET_ROWS = Graph(GADGET_SIZE, [(_OFF[a], _OFF[b]) for a, b in GADGET_EDGES])._adj
 
 
 class FormulaError(ValueError):
@@ -121,19 +124,20 @@ def reduction_order(f: CnfFormula) -> int:
 
 
 def build_reduction(f: CnfFormula) -> tuple[Graph, dict[int, str]]:
-    """The reduction graph: one gadget per variable, one vertex per clause."""
-    edges = []
-    labels = {}
-    for i in range(f.n_vars):
-        base = GADGET_SIZE * i
-        edges.extend((base + _OFF[a], base + _OFF[b]) for a, b in GADGET_EDGES)
-        labels.update({base + off: f"{name}_{i + 1}" for name, off in _OFF.items()})
+    """The reduction graph: one gadget per variable, one vertex per clause.
+    Gadget i is `_GADGET_ROWS` shifted by 23 * i; each clause vertex is
+    appended to its literals' rows in clause order, which keeps them sorted."""
+    rows = [[GADGET_SIZE * i + w for w in row] for i in range(f.n_vars) for row in _GADGET_ROWS]
+    labels = {GADGET_SIZE * i + off: f"{name}_{i + 1}"
+              for i in range(f.n_vars) for off, name in enumerate(GADGET_NAMES)}
     for j, clause in enumerate(f.clauses):
         y = clause_vertex(f, j)
         labels[y] = f"y_{j + 1}"
-        for var, pol in clause:
-            edges.append((y, gadget_vertex(var, "u" if pol else "ub")))
-    return Graph(reduction_order(f), edges, labels), labels
+        ends = sorted(gadget_vertex(var, "u" if pol else "ub") for var, pol in clause)
+        for x in ends:
+            rows[x].append(y)
+        rows.append(ends)
+    return Graph._of(len(rows), tuple(map(tuple, rows)), labels), labels
 
 
 # per-variable witness pieces: always in D / P, plus the true/false branches

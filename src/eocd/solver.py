@@ -27,8 +27,9 @@ component at a time: each vertex has a D row and a P row that share a
 secondary "center" column.  Deciding EOCD is NP-complete, so ANY and
 EMPTY_INTERSECTION stay exponential in the worst case.
 
-gamma and gamma_t are exact sums over the components: a linear DP on each
-tree, and a stack-based search up from a packing bound on the others.
+gamma and gamma_t are exact sums over the components: one pass of the
+linear tree DP over g's own rows serves every tree component, and a
+stack-based search up from a packing bound serves each of the others.
 """
 
 from __future__ import annotations
@@ -403,12 +404,13 @@ def _min_cover_size(g: Graph, verts, closed: bool) -> int:
     cover, most first, and drops a state with more uncovered vertices
     than the vertices left to pick times the largest neighborhood.
     """
-    rank = sorted(verts, key=lambda v: (g.degree(v), v))
+    adj = g._adj
+    rank = sorted(verts, key=lambda v: (len(adj[v]), v))
     bit = {v: 1 << i for i, v in enumerate(rank)}
-    nbhd = {v: (*g.neighbors(v), v) if closed else g.neighbors(v) for v in rank}
-    mask = {v: sum(bit[w] for w in nbhd[v]) for v in rank}
+    nbhd = {v: (*adj[v], v) if closed else adj[v] for v in rank}
+    mask = {v: sum(map(bit.__getitem__, nbhd[v])) for v in rank}
     coverers = [[mask[w] for w in nbhd[v]] for v in rank]   # nbhd is symmetric
-    forced = {w for v in rank if g.degree(v) == 1 for w in g.neighbors(v)}
+    forced = {w for v in rank if len(adj[v]) == 1 for w in adj[v]}
     start = 0
     for w in forced:
         start |= mask[w]
@@ -437,15 +439,17 @@ def _min_cover_size(g: Graph, verts, closed: bool) -> int:
 
 
 def _domination_number(g: Graph, closed: bool) -> int:
-    """gamma (closed) or gamma_t (open) as a sum over the components: trees
-    by the linear `min_tree_cover`, the others by `_min_cover_size`."""
-    total = 0
+    """gamma (closed) or gamma_t (open) as a sum over the components: all
+    trees by one pass of the linear `min_tree_cover` over g's rows, each
+    tree rooted at any of its vertices, the others by `_min_cover_size`."""
+    adj = g._adj
+    total, roots = 0, []
     for comp in connected_components(g):
-        if sum(map(g.degree, comp)) == 2 * (len(comp) - 1):
-            total += min_tree_cover({v: g.neighbors(v) for v in comp}, closed)
+        if sum(map(len, map(adj.__getitem__, comp))) == 2 * len(comp) - 2:
+            roots.append(next(iter(comp)))
         else:
             total += _min_cover_size(g, comp, closed)
-    return total
+    return total + min_tree_cover(adj, roots, closed)
 
 
 def gamma(g: Graph) -> int:
@@ -455,9 +459,8 @@ def gamma(g: Graph) -> int:
 
 def gamma_t(g: Graph) -> int:
     """The total domination number; errors out on isolated vertices."""
-    for v in range(g.n):
-        if not g.degree(v):
-            raise IsolatedVertexError(f"vertex {v} is isolated; gamma_t is undefined")
+    if () in g._adj:   # rows are tuples
+        raise IsolatedVertexError(f"vertex {g._adj.index(())} is isolated; gamma_t is undefined")
     return _domination_number(g, closed=False)
 
 

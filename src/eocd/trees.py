@@ -7,7 +7,9 @@ random ones, and decomposes a certified tree into a sequence that replays
 to the identical labeled tree.  One linear leaf-up DP (`_leaf_up`), run
 for open and for closed neighborhoods, serves both tree questions: its
 exact mode recognizes EOCD trees and its minimum mode gives gamma_t and
-gamma.
+gamma, for all tree components of a graph in one pass.  Its tables are
+lists indexed by vertex id, and it takes children in the order the
+adjacency rows yield them.
 
 The certificate is checked in full where it enters (`apply_step`,
 `decompose`).  After each step only the vertices whose hit count the
@@ -25,6 +27,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable
 
 from .graph import (
@@ -284,105 +287,87 @@ def replay(seq: TreeOpSequence) -> tuple[Graph, VertexSet, VertexSet]:
 # ---------------------------------------------------------------------------
 # one leaf-up DP: efficient sets (is_eocd_tree) and fewest covers (gamma, gamma_t)
 
-def _postorder(adj: dict, root) -> tuple[list, dict]:
-    """The vertices, children before parents, and their depths below root."""
-    depth = {root: 0}
-    order = []
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for w in adj[x]:
-            if w not in depth:
-                depth[w] = depth[x] + 1
-                stack.append(w)
-    order.reverse()
-    return order, depth
+def _leaf_up(adj, roots, closed: bool, exact: bool) -> tuple[list, list, tuple, tuple]:
+    """The leaf-up DP over the trees of `adj` holding `roots`, one each,
+    for a set S whose open (closed=False) or closed neighborhoods cover them.
 
-
-def _leaf_up(adj: dict, root, closed: bool, exact: bool) -> tuple[dict, dict, dict]:
-    """The leaf-up DP over the tree `adj` rooted at `root`, for a set S
-    whose open (closed=False) or closed neighborhoods cover the tree.
-
-    The state of x is (s, need): s = x lies in S, need = x's parent lies
-    in S, which then covers x.  Every child of x has need = s, and
+    The state of x is (s, need): s = x lies in S, need = x's parent lies in
+    S, which then covers x.  Every child of x has need = s, and
     k = 1 - [closed and s] - need children must lie in S: exactly k, with
     every other child outside S, when `exact` (the neighborhoods partition
-    the tree, so k must be 0 or 1), or at least k otherwise.
-    cost[x][2 * s + need] is the fewest vertices of S in the subtree of x,
-    above len(adj) when the subtree admits no such state.  For a state with
-    k = 1, pick[x, s, need] is the child lifted into S: the first cheapest.
-    Returns cost, pick and each vertex's children.
+    the tree, so k must be 0 or 1), or at least k otherwise.  A state costs
+    the fewest vertices of S in the subtree of x, above len(adj) if
+    infeasible, but for the exact closed state (1, 1), which no state
+    reads.  One pass takes all trees, children before parents, over lists
+    indexed by id: t_s[x] is s plus the costs of x's children with need = s
+    (outside S if `exact`, else the cheaper), l_s[x] the least extra cost
+    of lifting one into S, pick[s][x] that child, the first cheapest in
+    `adj[x]`'s order.  The roots hang from a spare slot n outside S.
+    Returns the breadth-first order from the roots, the parents (n at a
+    root), slot n's cost with no root lifted (in the minimum mode, the sum
+    over the trees) and with one, and pick.
     """
-    order, depth = _postorder(adj, root)
-    # a cost of at least inf marks an infeasible state; inf is finite, so
-    # lifting the one child that cannot stay outside S cancels its cost
-    # (total - out + into) without inf - inf
-    inf = 2 * len(adj) + 1
-    cost: dict = {}
-    pick: dict = {}
-    children: dict = {}
-    for x in order:
-        ch = children[x] = [y for y in adj[x] if depth[y] > depth[x]]
-        c = cost[x] = [inf] * 4
-        for s in (0, 1):
-            total, lift, one = s, inf, None
-            for y in ch:
-                cy = cost[y]
-                out, into = cy[s], cy[2 + s]   # y outside S, y in S
-                base = out if exact or out < into else into
-                total += base
-                if into - base < lift:
-                    lift, one = into - base, y
-            for need in (0, 1):
-                k = 1 - (closed and s) - need
-                if k == 1:
-                    c[2 * s + need] = total + lift
-                    pick[x, s, need] = one
-                elif k == 0 or not exact:
-                    c[2 * s + need] = total
-    return cost, pick, children
+    n, order = len(adj), list(roots)
+    parent = [n] * n
+    for x in order:   # grows while it is read: breadth first from the roots
+        px = parent[x]
+        for w in adj[x]:
+            if w != px:
+                parent[w] = x
+                order.append(w)
+    # costs of at least inf are infeasible; inf is finite, so lifting the one
+    # child that cannot stay outside S cancels its cost without inf - inf
+    inf = 2 * n + 1
+    t0, t1, l0, l1 = [0] * (n + 1), [1] * (n + 1), [inf] * (n + 1), [inf] * (n + 1)
+    pick = p0, p1 = [-1] * (n + 1), [-1] * (n + 1)
+    for y in reversed(order):   # x's children arrive last first, so ties go to the last
+        x = parent[y]
+        out1, into1 = t0[y], t1[y]   # y outside S, in S, with x in S
+        out0 = out1 + l0[y]          # the same with x outside S
+        into0 = into1 if closed else into1 + l1[y]
+        if not exact:
+            out0, out1 = min(out0, into0), min(out1, into1)
+        t0[x] += out0
+        if into0 - out0 <= l0[x]:
+            l0[x], p0[x] = into0 - out0, y
+        t1[x] += out1
+        if into1 - out1 <= l1[x]:
+            l1[x], p1[x] = into1 - out1, y
+    return order, parent, (t0[n], t0[n] + l0[n]), pick
 
 
-def min_tree_cover(adj: dict, closed: bool) -> int:
+def min_tree_cover(adj, roots, closed: bool) -> int:
     """The fewest vertices whose open (closed=False) or closed neighborhoods
-    cover the tree `adj`: gamma_t or gamma, from `_leaf_up`'s minimum table
-    in linear time."""
-    root = next(iter(adj))
-    cost = _leaf_up(adj, root, closed, exact=False)[0][root]
-    return min(cost[0], cost[2])
+    cover the trees of `adj` that hold `roots`: the sum of their gamma_t or
+    gamma, from one linear pass of `_leaf_up`'s minimum mode over them."""
+    return _leaf_up(adj, roots, closed, exact=False)[2][0]
 
 
 def is_eocd_tree(t: Graph) -> tuple[VertexSet, VertexSet] | None:
     """A valid (D, P) pair for the tree, or None if it admits none.
 
     D and P are read off `_leaf_up`'s exact tables for open and closed
-    neighborhoods, rooted at 0.  All efficient sets of a graph have the
-    same size, so every feasible choice costs the same and the cheapest
-    is the first feasible one; a tie at the root puts 0 in the set.
-    Which child a state lifts is the first cheapest in the order of
-    `_adj_of`'s per-vertex sets, i.e. CPython's set iteration order, not
-    id order: the sorted rows `t._adj` pick other, equally valid
-    certificates, and the certificates pinned in the tests are these.
+    neighborhoods, rooted at 0, parents before children.  Efficient sets
+    all have one size, so every feasible choice costs the same; a tie at
+    the root puts 0 in the set.  A state lifts the first cheapest child
+    in the order of `_adj_of`'s sets, CPython's set order: the sorted
+    rows `t._adj` pick other valid certificates, and the tests pin these.
     """
     if not is_tree(t):
         raise ValueError("input is not a tree")
     adj = _adj_of(t)
     codes = []
     for closed in (False, True):
-        cost, pick, children = _leaf_up(adj, 0, closed, exact=True)
-        start = min((1, 0), key=lambda s: cost[0][2 * s])
-        if cost[0][2 * start] > t.n:
+        order, parent, (out, into), pick = _leaf_up(adj, (0,), closed, exact=True)
+        if min(out, into) > t.n:
             return None
-        code: set = set()
-        stack = [(0, start, 0)]
-        while stack:
-            x, s, need = stack.pop()
-            if s:
-                code.add(x)
-            one = pick.get((x, s, need))
-            stack.extend((y, int(y == one), s) for y in children[x])
-        codes.append(frozenset(code))
+        code = bytearray(t.n + 1)   # code[n], the root's spare parent, stays outside S
+        code[0] = into <= out
+        for x in order:   # a state with k = 1 puts its picked child in S
+            s = code[x]
+            if not (closed and s or code[parent[x]]):
+                code[pick[s][x]] = 1
+        codes.append(frozenset(compress(range(t.n), code)))
     return tuple(codes)
 
 
@@ -392,6 +377,17 @@ def is_eocd_tree(t: Graph) -> tuple[VertexSet, VertexSet] | None:
 class _Redirect(Exception):
     def __init__(self, leaf):
         self.leaf = leaf
+
+
+def _depths(adj: dict, root) -> dict:
+    """The depth below root of every vertex of the tree `adj`."""
+    depth, order = {root: 0}, [root]
+    for x in order:   # grows while it is read
+        for w in adj[x]:
+            if w not in depth:
+                depth[w] = depth[x] + 1
+                order.append(w)
+    return depth
 
 
 def _deepest_leaf(adj: dict, depth: dict, top) -> int:
@@ -565,7 +561,7 @@ def decompose(t: Graph, d, p) -> TreeOpSequence:
             # A peel keeps the rest connected, so the depths and the heap of
             # leaves stay valid until the root itself is peeled.
             root = min(adj)
-            _, depth = _postorder(adj, root)
+            depth = _depths(adj, root)
             leaves = [(-depth[x], x) for x in adj if len(adj[x]) == 1]
             heapq.heapify(leaves)
         while leaves[0][1] not in adj:

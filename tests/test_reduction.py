@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eocd.graph import Graph, dump_edge_list
 from eocd.reduction import (
     GADGET_EDGES,
     GADGET_NAMES,
@@ -17,6 +19,7 @@ from eocd.reduction import (
     gadget_vertex,
     is_one_in_three,
     parse_dimacs,
+    reduction_order,
     witness_from_assignment,
 )
 from eocd.solver import InvalidCertificateError, find_eocd
@@ -144,3 +147,33 @@ def test_solver_witness_extracts_to_model():
         assert (cert is not None) == bool(models)
         if cert is not None:
             assert assignment_from_witness(f, g, cert.d, cert.p) in models
+
+
+@st.composite
+def formulas(draw):
+    """0-6 variables and 0-8 clauses of three distinct variables with drawn
+    polarities; with few variables, clauses share literals."""
+    n_vars = draw(st.integers(0, 6))
+    clause = st.tuples(st.permutations(range(n_vars)), st.tuples(*[st.booleans()] * 3)).map(
+        lambda vp: tuple(zip(vp[0][:3], vp[1])))
+    clauses = draw(st.lists(clause, max_size=8)) if n_vars >= 3 else []
+    return CnfFormula(n_vars, tuple(clauses))
+
+
+@given(formulas())
+@settings(max_examples=200, deadline=None)
+def test_build_reduction_equals_checked_construction(f):
+    """The gadget template and the clause rows give the graph the checked
+    constructor builds from GADGET_EDGES and the clause wiring."""
+    edges = [(gadget_vertex(i, a), gadget_vertex(i, b))
+             for i in range(f.n_vars) for a, b in GADGET_EDGES]
+    labels = {gadget_vertex(i, name): f"{name}_{i + 1}"
+              for i in range(f.n_vars) for name in GADGET_NAMES}
+    for j, clause in enumerate(f.clauses):
+        labels[clause_vertex(f, j)] = f"y_{j + 1}"
+        edges += [(clause_vertex(f, j), gadget_vertex(var, "u" if pol else "ub"))
+                  for var, pol in clause]
+    ref = Graph(reduction_order(f), edges, labels)
+    g, names = build_reduction(f)
+    assert (g.n, g._adj, g.labels, names) == (ref.n, ref._adj, labels, labels)
+    assert dump_edge_list(g) == dump_edge_list(ref)

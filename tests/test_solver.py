@@ -344,6 +344,28 @@ def test_comb_and_disjoint_triangles():
     assert gamma_t(triangles) == 2 * k
 
 
+def _disjoint(parts) -> Graph:
+    """The disjoint union of `parts`, each relabelled after the ones before."""
+    edges, n = [], 0
+    for part in parts:
+        edges += [(n + u, n + v) for u, v in part.edges()]
+        n += part.n
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("g, expected", [
+    (_disjoint([path(2)] * 2048), (2048, 4096)),
+    (_disjoint([path(3)] * 1365), (1365, 2730)),
+    (complete_bipartite(1, 4095), (1, 2)),
+    (_disjoint([path(40)] + [cycle(5)] * 10), (14 + 10 * 2, 20 + 10 * 3)),
+], ids=["2048xK2", "1365xP3", "K1,4095", "P40+10xC5"])
+def test_many_components_match_closed_forms(g, expected):
+    """Many tree components (or one wide star) at sizes the 4,096-vertex
+    guard admits: each component adds its own gamma and gamma_t."""
+    assert g.n <= 4096
+    assert (gamma(g), gamma_t(g)) == expected
+
+
 @given(small_graphs())
 @settings(max_examples=150, deadline=None)
 def test_every_enumerated_set_is_valid(g):
