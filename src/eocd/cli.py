@@ -174,7 +174,7 @@ def _cmd_verify(args) -> int:
     d = _parse_ids(args.d, g.n, "--d")
     p = _parse_ids(args.p, g.n, "--p")
     ok = True
-    for name, kind, problem in certificate_violations(g.n, g.neighbors, d, p):
+    for name, kind, problem in certificate_violations(g._adj, d, p):
         if problem is None:
             print(f"{name}: valid {kind} set")
         else:
@@ -222,11 +222,9 @@ def _cmd_tree_random(args) -> int:
 def _cmd_reduce(args) -> int:
     f = _read(args.cnf, parse_dimacs)
     g = _reduction_graph(f, args.max_vertices)
-    if args.output:
+    if args.output or not (args.solve or args.extract):
         _write_output(args, dump_edge_list(g))
     if not (args.solve or args.extract):
-        if not args.output:
-            _write_output(args, dump_edge_list(g))
         return 0
     cert = find_eocd(g)
     if cert is None:

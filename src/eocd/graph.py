@@ -82,29 +82,31 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def first_violation(n: int, nbrs, members, closed: bool):
+def first_violation(adj, members, closed: bool):
     """The first vertex not covered exactly once, or None.
 
     Counts, in O(n + m), how often the open (closed=False) or closed
-    neighborhoods of `members` hit each vertex of 0..n-1, in a list
-    indexed by vertex id; `nbrs(v)` yields the neighbors of v.  Returns
-    the smallest vertex hit other than once, with the sorted list of the
-    members whose neighborhoods hit it; None if the neighborhoods
-    partition the vertices.  A member outside 0..n-1 raises GraphError.
+    neighborhoods of `members` hit each vertex of 0..n-1, n = len(adj), in a
+    list indexed by vertex id; adj[v] holds the neighbors of v (a `Graph`'s
+    rows, or a dict of sets keyed by 0..n-1).  Returns the smallest vertex
+    hit other than once, with the sorted list of the members whose
+    neighborhoods hit it; None if the neighborhoods partition the vertices.
+    A member outside 0..n-1 raises GraphError.
     """
     members = frozenset(members)
+    n = len(adj)
     hits = [0] * n
     for x in members:
         if not (isinstance(x, int) and 0 <= x < n):
             raise GraphError(f"vertex {x!r} is not in the graph")
-        for w in nbrs(x):
+        for w in adj[x]:
             hits[w] += 1
         if closed:
             hits[x] += 1
     if hits.count(1) == n:
         return None
     x = next(x for x, k in enumerate(hits) if k != 1)
-    via = [w for w in nbrs(x) if w in members]
+    via = [w for w in adj[x] if w in members]
     if closed and x in members:
         via.append(x)
     return x, sorted(via)
@@ -117,16 +119,16 @@ def describe_violation(x, via: list, name: str) -> str:
     return f"vertex {x} is doubly covered by {name} (via {via[0]} and {via[1]})"
 
 
-def certificate_violations(n: int, nbrs, d, p) -> Iterator[tuple[str, str, str | None]]:
-    """Check D as an EOD set, then P as an ECD set of the vertices 0..n-1,
-    by `first_violation`.
+def certificate_violations(adj, d, p) -> Iterator[tuple[str, str, str | None]]:
+    """Check D as an EOD set, then P as an ECD set of the rows `adj`, by
+    `first_violation`.
 
     Yields (name, kind, problem) for "D", "EOD" and then "P", "ECD", where
     problem is the `describe_violation` line, or None if the set is valid.
     A caller that stops at the first problem leaves P unchecked.
     """
     for name, kind, members, closed in (("D", "EOD", d, False), ("P", "ECD", p, True)):
-        bad = first_violation(n, nbrs, members, closed)
+        bad = first_violation(adj, members, closed)
         yield name, kind, None if bad is None else describe_violation(*bad, name)
 
 
@@ -153,12 +155,13 @@ def is_tree(g: Graph) -> bool:
     return g.n >= 1 and g.m == g.n - 1 and len(connected_components(g)) == 1
 
 
-def contract_edges(g: Graph, matching: list[tuple[int, int]]) -> tuple[Graph, dict[int, int]]:
+def contract_edges(g: Graph, matching: list[tuple[int, int]]) -> tuple[Graph, list[int]]:
     """Contract a matching; each edge must lie in no triangle.
 
     Returns the contracted graph and the total, surjective map from old
-    vertex ids to new ones.  The two endpoints of a matched edge map to
-    the new id of the smaller one; the other new ids follow the old order.
+    vertex ids to new ones, as a list indexed by old id.  The two endpoints
+    of a matched edge map to the new id of the smaller one; the other new
+    ids follow the old order.
     The contracted adjacency is built directly in O(n + m): each old
     neighbor tuple is mapped through the vertex map and re-sorted only if
     it names a merged end, and each matched pair merges its two tuples.
@@ -190,7 +193,7 @@ def contract_edges(g: Graph, matching: list[tuple[int, int]]) -> tuple[Graph, di
         merged.update(map(new, adj[v]))
         merged.discard(new(u))
         rows[new(u)] = tuple(sorted(merged))
-    return Graph._of(len(rows), tuple(rows)), dict(enumerate(vmap))
+    return Graph._of(len(rows), tuple(rows)), vmap
 
 
 def dump_edge_list(g: Graph) -> str:

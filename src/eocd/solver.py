@@ -68,12 +68,12 @@ class InvalidCertificateError(ValueError):
 
 def is_ecd_set(g: Graph, p) -> bool:
     """True iff the closed neighborhoods of p partition V(G)."""
-    return first_violation(g.n, g.neighbors, p, closed=True) is None
+    return first_violation(g._adj, p, closed=True) is None
 
 
 def is_eod_set(g: Graph, d) -> bool:
     """True iff the open neighborhoods of d partition V(G)."""
-    return first_violation(g.n, g.neighbors, d, closed=False) is None
+    return first_violation(g._adj, d, closed=False) is None
 
 
 def _covers(n_primary: int, rows, col_rows, stats: dict | None = None) -> Iterator[list[int]]:
@@ -288,7 +288,7 @@ class EocdCertificate:
     def validate(self, g: Graph) -> None:
         if g.n != self.n:
             raise InvalidCertificateError(f"certificate is for n={self.n}, graph has n={g.n}")
-        for name, kind, problem in certificate_violations(g.n, g.neighbors, self.d, self.p):
+        for name, kind, problem in certificate_violations(g._adj, self.d, self.p):
             if problem:
                 raise InvalidCertificateError(f"{name} is not an {kind} set: {problem}")
 

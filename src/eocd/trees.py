@@ -8,8 +8,8 @@ to the identical labeled tree.  One linear leaf-up DP (`_leaf_up`), run
 for open and for closed neighborhoods, serves both tree questions: its
 exact mode recognizes EOCD trees and its minimum mode gives gamma_t and
 gamma, for all tree components of a graph in one pass.  Its tables are
-lists indexed by vertex id, and it takes children in the order the
-adjacency rows yield them.
+lists indexed by vertex id, and it reads a `Graph`'s sorted rows, so a
+tie between children goes to the smallest id.
 
 The certificate is checked in full where it enters (`apply_step`,
 `decompose`).  After each step only the vertices whose hit count the
@@ -24,6 +24,7 @@ API speaks dense `Graph` values.
 
 from __future__ import annotations
 
+import heapq
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -163,7 +164,7 @@ def _ids(fields: dict[str, str], key: str, count: int | None = None) -> tuple[in
 
 def _check_cert(adj: dict, d: set, p: set, context: str) -> None:
     """The full check, on a tree whose labels are 0..n-1 (`_adj_of`)."""
-    for _, _, problem in certificate_violations(len(adj), adj.__getitem__, d, p):
+    for _, _, problem in certificate_violations(adj, d, p):
         if problem:
             raise OpPreconditionError(f"{context}: {problem}")
 
@@ -349,16 +350,14 @@ def is_eocd_tree(t: Graph) -> tuple[VertexSet, VertexSet] | None:
     D and P are read off `_leaf_up`'s exact tables for open and closed
     neighborhoods, rooted at 0, parents before children.  Efficient sets
     all have one size, so every feasible choice costs the same; a tie at
-    the root puts 0 in the set.  A state lifts the first cheapest child
-    in the order of `_adj_of`'s sets, CPython's set order: the sorted
-    rows `t._adj` pick other valid certificates, and the tests pin these.
+    the root puts 0 in the set, and a state lifts the first cheapest child
+    in id order (the sorted rows `t._adj`).
     """
     if not is_tree(t):
         raise ValueError("input is not a tree")
-    adj = _adj_of(t)
     codes = []
     for closed in (False, True):
-        order, parent, (out, into), pick = _leaf_up(adj, (0,), closed, exact=True)
+        order, parent, (out, into), pick = _leaf_up(t._adj, (0,), closed, exact=True)
         if min(out, into) > t.n:
             return None
         code = bytearray(t.n + 1)   # code[n], the root's spare parent, stays outside S
@@ -373,11 +372,6 @@ def is_eocd_tree(t: Graph) -> tuple[VertexSet, VertexSet] | None:
 
 # ---------------------------------------------------------------------------
 # decomposition
-
-class _Redirect(Exception):
-    def __init__(self, leaf):
-        self.leaf = leaf
-
 
 def _depths(adj: dict, root) -> dict:
     """The depth below root of every vertex of the tree `adj`."""
@@ -433,9 +427,9 @@ def _smallest_plain_leaf(adj: dict, d: set, p: set, u, plain: dict):
 
 
 def _inverse_step(adj, d, p, v, depth, root, plain):
-    """The operation whose inverse peels leaf v off, or raises
-    _Redirect(other leaf).  Its new vertices are the ones to remove;
-    `plain` is the cache of `_smallest_plain_leaf`."""
+    """The operation whose inverse peels leaf v off, or the other leaf to
+    peel first.  Its new vertices are the ones to remove; `plain` is the
+    cache of `_smallest_plain_leaf`."""
     (u,) = adj[v]
 
     if v not in p and v not in d:
@@ -449,11 +443,11 @@ def _inverse_step(adj, d, p, v, depth, root, plain):
         if len(adj[u]) > 2 or u == root:
             leaf = _smallest_plain_leaf(adj, d, p, u, plain)
             _need(leaf is not None, f"support {u} has no removable second leaf")
-            raise _Redirect(leaf)
+            return leaf
         x = _nbr_other(adj, u, v)
         if len(adj[x]) == 1 and x not in d and x not in p:
             # residual path x-u-v: x is the plain pendant to peel first
-            raise _Redirect(x)
+            return x
         _need(len(adj[x]) == 2, f"vertex {x} above {u} must have degree 2")
         w = _nbr_other(adj, x, u)
         _need(w not in d, f"attachment {w} must lie outside D")
@@ -485,7 +479,7 @@ def _inverse_step(adj, d, p, v, depth, root, plain):
     if len(adj[w]) >= 3:
         branches = [y for y in adj[w] if y != x and depth[y] > depth[w]]
         _need(bool(branches), f"vertex {w} of degree >= 3 has no second branch")
-        raise _Redirect(_deepest_leaf(adj, depth, min(branches)))
+        return _deepest_leaf(adj, depth, min(branches))
     z = _nbr_other(adj, w, x)
     _need(z not in d and z not in p, f"vertex {z} must lie outside D and P")
     if len(adj[z]) == 2:
@@ -507,14 +501,14 @@ def _inverse_step(adj, d, p, v, depth, root, plain):
         if len(adj[xp]) > 2:   # the removable extra children: xp's plain leaves
             leaf = _smallest_plain_leaf(adj, d, p, xp, plain)
             _need(leaf is not None, f"vertex {xp} has extra children but none removable")
-            raise _Redirect(leaf)
+            return leaf
         below = [y for y in adj[xp] if y != wp]
         _need(len(below) == 1, f"vertex {xp} must have a child in D")
         up_ = below[0]
         _need(up_ in d and up_ not in p, f"vertex {up_} must lie in D-P")
         others = [y for y in adj[wp] if y not in (z, xp)]
         if others:
-            raise _Redirect(_deepest_leaf(adj, depth, min(others)))
+            return _deepest_leaf(adj, depth, min(others))
         _need(len(adj[up_]) == 1, f"vertex {up_} must be a leaf")
         return TreeOpStep("O2", (z,), (wp, xp, up_))
     # Subcase 4.1.2: wp in D
@@ -522,7 +516,7 @@ def _inverse_step(adj, d, p, v, depth, root, plain):
         if len(adj[xp]) > 1:   # the removable children: xp's plain leaves
             leaf = _smallest_plain_leaf(adj, d, p, xp, plain)
             _need(leaf is not None, f"vertex {xp} has children but none removable")
-            raise _Redirect(leaf)
+            return leaf
         _need(len(adj[wp]) == 2, f"vertex {wp} must have degree 2")
         return TreeOpStep("O5", (u, x, w, z, wp, xp), (v,))
     _need(len(adj[xp]) == 1, f"vertex {xp} outside D must be a leaf")
@@ -552,7 +546,6 @@ def decompose(t: Graph, d, p) -> TreeOpSequence:
     adj = _adj_of(t)
     d, p = set(d), set(p)
     _check_cert(adj, d, p, "decompose input")
-    import heapq   # here, so that importing eocd does not load its C extension
     steps_rev: list[TreeOpStep] = []
     plain: dict = {}   # see _smallest_plain_leaf
     root = None
@@ -568,11 +561,10 @@ def decompose(t: Graph, d, p) -> TreeOpSequence:
             heapq.heappop(leaves)
         v = leaves[0][1]
         for _ in range(len(adj) + 1):
-            try:
-                step = _inverse_step(adj, d, p, v, depth, root, plain)
+            step = _inverse_step(adj, d, p, v, depth, root, plain)
+            if isinstance(step, TreeOpStep):
                 break
-            except _Redirect as r:
-                v = r.leaf
+            v = step
         else:
             raise DecomposeError("redirect loop in case analysis")
         touched = set()
@@ -600,9 +592,9 @@ def random_eocd_tree(steps: int, seed: int) -> tuple[Graph, VertexSet, VertexSet
     """Grow a random EOCD tree by feasible operations; deterministic per seed.
 
     Each step draws uniformly from the feasible operations: O1, O2, O3 by
-    attachment vertex, then the O4/O5 walks of each leaf by leaf id.  The
-    four parts are kept sorted; a step recomputes only the options of the
-    `_readers_of` the vertices it changed.
+    attachment vertex, then the O4/O5 walks of each leaf by leaf id, kept
+    as one sorted list of (pool, attach, op); a step recomputes only the
+    options of the `_readers_of` the vertices it changed.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -610,25 +602,20 @@ def random_eocd_tree(steps: int, seed: int) -> tuple[Graph, VertexSet, VertexSet
     adj = {0: {1}, 1: {0}}
     d, p = {0, 1}, {0}
     seq = TreeOpSequence()
-    pools: tuple = ([], [], [], [])   # sorted (attach, op) of O1, O2, O3, O4/O5
-    entries: dict = {}                # vertex -> its (pool, entry) pairs
+    options: list = []   # sorted (pool, attach, op); pools 0-3: O1, O2, O3, O4/O5
+    entries: dict = {}   # vertex -> its options
     changed = (0, 1)
     next_id = 2
     for _ in range(steps):
         for z in _readers_of(adj, changed):
             old, now = entries.get(z, []), _options_at(adj, d, p, z)
             if now != old:
-                for k, entry in old:
-                    del pools[k][bisect_left(pools[k], entry)]
-                for k, entry in now:
-                    insort(pools[k], entry)
+                for entry in old:
+                    del options[bisect_left(options, entry)]
+                for entry in now:
+                    insort(options, entry)
                 entries[z] = now
-        i = rng.choice(range(sum(map(len, pools))))   # as rng.choice(options) draws
-        for pool in pools:
-            if i < len(pool):
-                break
-            i -= len(pool)
-        attach, op = pool[i]
+        _, attach, op = rng.choice(options)
         new = tuple(range(next_id, next_id + OP_ARITY[op]))
         next_id += OP_ARITY[op]
         step = TreeOpStep(op, attach, new)
@@ -638,14 +625,14 @@ def random_eocd_tree(steps: int, seed: int) -> tuple[Graph, VertexSet, VertexSet
 
 
 def _options_at(adj: dict, d: set, p: set, z) -> list:
-    """The feasible operations attached at z, as (pool, (attach, op)).
+    """The feasible operations attached at z, as (pool, attach, op).
 
     Every vertex takes one of O1 (in D&P), O2 (outside D), O3 (in D-P).  A
     leaf z may also start an O4 walk z-x-w and O5 walks z-x-w-z'-w'-x';
     sorted by attach, its O4 comes first and its O5 walks in (w', x') order.
     """
     k = 1 if z not in d else 0 if z in p else 2
-    out = [(k, ((z,), ("O1", "O2", "O3")[k]))]
+    out = [(k, (z,), ("O1", "O2", "O3")[k])]
     if len(adj[z]) != 1:
         return out
     (lx,) = adj[z]
@@ -653,13 +640,13 @@ def _options_at(adj: dict, d: set, p: set, z) -> list:
         return out
     lw = next(w for w in adj[lx] if w != z)
     if lx in d and lx in p and lw in d:
-        out.append((3, ((z, lx, lw), "O4")))
+        out.append((3, (z, lx, lw), "O4"))
     if z not in d or lx not in d or lx not in p or len(adj[lw]) != 2:
         return out
     lz = next(t for t in adj[lw] if t != lx)
     for wp in sorted(adj[lz]):
         if wp != lw and len(adj[wp]) == 2 and wp in d and wp in p:
-            out.extend((3, ((z, lx, lw, lz, wp, xp), "O5")) for xp in sorted(adj[wp])
+            out.extend((3, (z, lx, lw, lz, wp, xp), "O5") for xp in sorted(adj[wp])
                        if xp != lz and len(adj[xp]) == 1 and xp in d)
     return out
 

@@ -147,24 +147,24 @@ def test_only_line_feeds_and_carriage_returns_end_lines(line_end_variants):
 
 def test_first_violation_on_dense_ids():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert first_violation(g.n, g.neighbors, {1, 2}, closed=False) is None
-    assert first_violation(g.n, g.neighbors, {0, 3}, closed=True) is None
-    assert first_violation(g.n, g.neighbors, {1}, closed=False) == (1, [])
-    assert first_violation(g.n, g.neighbors, {0, 1}, closed=True) == (0, [0, 1])
+    assert first_violation(g._adj, {1, 2}, closed=False) is None
+    assert first_violation(g._adj, {0, 3}, closed=True) is None
+    assert first_violation(g._adj, {1}, closed=False) == (1, [])
+    assert first_violation(g._adj, {0, 1}, closed=True) == (0, [0, 1])
     # the path 3-2-1-0 as an id-keyed dict of sets, as the tree calculus keeps it;
     # the violation reported is the smallest id, whatever the dict's key order
     adj = {3: {2}, 2: {1, 3}, 1: {0, 2}, 0: {1}}
-    assert first_violation(4, adj.__getitem__, {1, 2}, closed=False) is None
-    assert first_violation(4, adj.__getitem__, {2}, closed=True) == (0, [])
-    assert first_violation(4, adj.__getitem__, {2, 1}, closed=True) == (1, [1, 2])
-    assert first_violation(0, adj.__getitem__, set(), closed=False) is None
+    assert first_violation(adj, {1, 2}, closed=False) is None
+    assert first_violation(adj, {2}, closed=True) == (0, [])
+    assert first_violation(adj, {2, 1}, closed=True) == (1, [1, 2])
+    assert first_violation({}, set(), closed=False) is None
 
 
 def test_certificate_violations_checks_d_then_p():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert list(certificate_violations(g.n, g.neighbors, {1, 2}, {0, 3})) == [
+    assert list(certificate_violations(g._adj, {1, 2}, {0, 3})) == [
         ("D", "EOD", None), ("P", "ECD", None)]
-    assert list(certificate_violations(g.n, g.neighbors, {1}, {0, 1})) == [
+    assert list(certificate_violations(g._adj, {1}, {0, 1})) == [
         ("D", "EOD", "vertex 1 is uncovered by D"),
         ("P", "ECD", "vertex 0 is doubly covered by P (via 0 and 1)")]
 
@@ -174,9 +174,9 @@ def test_first_violation_rejects_ids_outside_the_graph():
     for bad in (-1, g.n, 99):
         for closed in (False, True):
             with pytest.raises(GraphError, match=f"^vertex {bad} is not in the graph$"):
-                first_violation(g.n, g.neighbors, {0, bad}, closed)
+                first_violation(g._adj, {0, bad}, closed)
     with pytest.raises(GraphError, match="^vertex 'a' is not in the graph$"):
-        first_violation(g.n, g.neighbors, {"a"}, closed=False)
+        first_violation(g._adj, {"a"}, closed=False)
 
 
 @st.composite
@@ -352,3 +352,13 @@ def test_components_partition_vertices(g):
     comps = connected_components(g)
     seen = [v for c in comps for v in c]
     assert sorted(seen) == list(range(g.n))
+
+
+@given(graphs(), st.data())
+def test_first_violation_reads_rows_and_id_keyed_dicts_alike(g, data):
+    # the tree calculus passes dicts of sets whose keys need not be in id order
+    members = data.draw(st.sets(st.integers(0, g.n - 1)))
+    closed = data.draw(st.booleans())
+    order = data.draw(st.permutations(range(g.n)))
+    as_dict = {v: set(g.neighbors(v)) for v in order}
+    assert first_violation(as_dict, members, closed) == first_violation(g._adj, members, closed)

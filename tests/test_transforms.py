@@ -135,7 +135,7 @@ def _reference_contract_edges(g, matching):
     for u, v in matching:
         rep[max(u, v)] = min(u, v)
     new_id = {r: i for i, r in enumerate(sorted(set(rep)))}
-    vmap = {v: new_id[rep[v]] for v in range(g.n)}
+    vmap = [new_id[rep[v]] for v in range(g.n)]
     edges = {(min(vmap[u], vmap[v]), max(vmap[u], vmap[v]))
              for u, v in g.edges() if vmap[u] != vmap[v]}
     return Graph(len(new_id), sorted(edges)), vmap
@@ -282,4 +282,4 @@ def test_contract_edges_refusals_name_the_fault():
         contract_edges(g, [(-1, 3)])
     # both matched edges of a 4-cycle: the two pairs merge into one edge
     h, vmap = contract_edges(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), [(0, 1), (2, 3)])
-    assert h._adj == ((1,), (0,)) and vmap == {0: 0, 1: 0, 2: 1, 3: 1}
+    assert h._adj == ((1,), (0,)) and vmap == [0, 0, 1, 1]

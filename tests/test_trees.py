@@ -327,13 +327,13 @@ def _sha(text):
 
 
 # SHA-256 of is_eocd_tree's certificates (sorted D, then sorted P, or
-# "none"), as the two-DP implementation computed them: they pin the tie
-# rule of the traceback, not only the existence of a certificate.
+# "none"), as the leaf-up DP over the sorted rows computes them: they pin
+# the tie rule of the traceback, not only the existence of a certificate.
 CERTIFICATE_PINS = {
     (12, 0): "1de900861267e1e9525bdd3bb5689eb1f28e0a0defbb4ea91a75d17687ba5c34",
-    (60, 1): "f52481f9702fdea02fac5ce4cb669abed273824370fe6e330afb66baaf24fbdd",
-    (250, 2): "3f1ab9a7c0da30db91c63b65d36af950cfba126ef3ac77f6bec845853c2207de",
-    (900, 3): "fd4c1ae0b94e9563f875e1f7e04e7f96411805d993618206c0731f204146f801",
+    (60, 1): "66d7c4f3f3f0c249b8fb8038496a92c21fb1893aa00bb8d20188f62835d6df32",
+    (250, 2): "dd840f0097d77e15c0ae7a5b83e6d408f9cdfc48a95436bf5e99a2dfb14ae4a6",
+    (900, 3): "403caab4acec7a86f62f366ecd276777b55f649d3a484d606b905b7d86a7d1c8",
 }
 
 
@@ -351,7 +351,15 @@ def test_small_tree_certificates_are_pinned():
         cert = is_eocd_tree(t)
         assert cert is None or (is_eod_set(t, cert[0]) and is_ecd_set(t, cert[1]))
     assert (_sha("".join(map(_certificate_text, trees)))
-            == "921ba7f5dcdd124d6f311de181be8bb354e7120d6ac51705f8e8306f6dc860ec")
+            == "1d14bc0d544d585057162b10cae0111ebce2b36d48a4871ae2cb4e974512a49c")
+
+
+def test_certificate_ties_go_to_the_smallest_child_id():
+    # rooted at 0: 0 and 3 hang on 7, and 1, 5, 8 on 4, which lies on the
+    # path 7-2-6-4.  D must hold 7, 4 and one child of each: the root's tie
+    # puts 0 in D, and 4 lifts its first cheapest child in id order, 1.
+    t = Graph(9, [(2, 7), (4, 1), (4, 5), (4, 6), (4, 8), (6, 2), (7, 0), (7, 3)])
+    assert is_eocd_tree(t) == ({0, 1, 4, 7}, {4, 7})
 
 
 def test_ten_thousand_vertex_round_trip():
