@@ -5,6 +5,8 @@ Sierpinski parity, tree operations, the satisfiability reduction, the
 extremal relations, the linear recognizer) against independent oracles
 and returns a ClaimResult.  ``run_all`` executes the lot; the CLI's
 ``report`` subcommand and the acceptance test suite both consume it.
+Claims 6 and 7 build their corpora here with the standard library alone:
+``graphs`` (every small graph up to isomorphism) and ``rooted_trees``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, permutations, product
 
 from .families import FAMILIES, complete_bipartite, cycle, hypercube, path
 from .graph import Graph, is_tree
@@ -184,11 +186,72 @@ def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
+def rooted_trees(n):
+    """Every rooted tree on n vertices, root 0, once each: the level
+    sequences of Beyer and Hedetniemi (SIAM J. Comput. 9, 1980), each
+    vertex numbered in preorder and joined to the last vertex one level up."""
+    level = list(range(n))
+    while True:
+        last, edges = {}, []
+        for i, lv in enumerate(level):
+            if lv:
+                edges.append((last[lv - 1], i))
+            last[lv] = i
+        yield Graph(n, edges)
+        p = max((i for i in range(n) if level[i] > 1), default=None)
+        if p is None:
+            return
+        q = max(i for i in range(p) if level[i] == level[p] - 1)
+        for i in range(p, n):
+            level[i] = level[i - (p - q)]
+
+
+def _colours(adj, rounds: int, table: dict) -> list[int]:
+    """Colour refinement from the degrees, `rounds` times: v's new colour is
+    the number `table` gives (v's colour, its neighbours' sorted colours) when
+    first seen, so one round's colours compare exactly across graphs sharing
+    `table` (1-WL with no hash that can collide)."""
+    colour = [len(row) for row in adj]
+    for _ in range(rounds):
+        colour = [table.setdefault((colour[v], tuple(sorted(colour[w] for w in row))), len(table))
+                  for v, row in enumerate(adj)]
+    return colour
+
+
+def _canonical(adj, table: dict) -> tuple:
+    """The least sorted edge list over the vertex orders that list the stable
+    colour classes in colour order: graphs of one order, coloured with one
+    `table`, share it exactly when isomorphic.  Its cost is factorial in the
+    largest class, so it serves graphs of at most 7 vertices."""
+    colour = _colours(adj, len(adj), table)   # stable after n rounds
+    classes = [[v for v, c in enumerate(colour) if c == k] for k in sorted(set(colour))]
+    arcs = [(v, w) for v, row in enumerate(adj) for w in row]
+    ranks = ({v: i for i, v in enumerate(chain.from_iterable(order))}
+             for order in product(*map(permutations, classes)))
+    return min(tuple(sorted((r[v], r[w]) for v, w in arcs if r[v] < r[w])) for r in ranks)
+
+
+def graphs(n_max: int):
+    """Every graph on 1..n_max vertices once up to isomorphism, by order, as
+    `Graph._of` rows: vertex k - 1 joins each graph on k - 1 vertices to each
+    subset, and the first graph with each canonical form stays (vertex
+    augmentation, McKay, J. Algorithms 1998); `_canonical` is slow past 7."""
+    table: dict = {}
+    level = [()]   # the graph on no vertex
+    for k in range(1, n_max + 1):
+        grown: dict = {}
+        for adj in level:
+            for mask in range(1 << (k - 1)):
+                new = tuple(row + (k - 1,) if mask >> v & 1 else row for v, row in enumerate(adj))
+                new += (tuple(v for v in range(k - 1) if mask >> v & 1),)
+                grown.setdefault(_canonical(new, table), new)
+        level = list(grown.values())
+        yield from (Graph._of(k, adj) for adj in level)
+
+
 def check_oracle_equivalence() -> ClaimResult:
     """find_ecd / find_eod agree with naive subset enumeration on all
-    graphs up to 6 vertices and a large non-isomorphic sample up to 8."""
-    import networkx as nx
-
+    graphs up to 7 vertices and a large non-isomorphic sample up to 8."""
     started = time.perf_counter()
     failures = []
 
@@ -205,26 +268,20 @@ def check_oracle_equivalence() -> ClaimResult:
             failures.append(f"{tag}: find_eod disagrees with enumeration")
 
     exhaustive = 0
-    for G in nx.graph_atlas_g():
-        if not 1 <= G.number_of_nodes() <= 6:
-            continue
-        relabel = {node: i for i, node in enumerate(sorted(G.nodes))}
-        g = Graph(G.number_of_nodes(),
-                  [(relabel[u], relabel[v]) for u, v in G.edges])
-        check(g, f"atlas graph on {g.n} vertices, edges {sorted(g.edges())}")
+    for g in graphs(7):
+        check(g, f"graph on {g.n} vertices, edges {sorted(g.edges())}")
         exhaustive += 1
 
     rng = random.Random(ORACLE_SEED)
-    seen: set[str] = set()
+    table: dict = {}
+    seen: set[tuple] = set()
     sampled = 0
     attempts = 0
     while sampled < ORACLE_CORPUS and attempts < 40 * ORACLE_CORPUS:
         attempts += 1
         n = 8 if attempts % 5 else 7
         g = _random_graph(rng, n, rng.choice([0.15, 0.3, 0.45, 0.6, 0.75, 0.9]))
-        G = nx.Graph(list(g.edges()))
-        G.add_nodes_from(range(g.n))
-        key = f"{g.n}:" + nx.weisfeiler_lehman_graph_hash(G, iterations=3)
+        key = (g.n, tuple(sorted(_colours(g._adj, 3, table))))
         if key in seen:
             continue
         seen.add(key)
@@ -233,27 +290,18 @@ def check_oracle_equivalence() -> ClaimResult:
     if sampled < ORACLE_CORPUS:
         failures.append(f"only {sampled} of {ORACLE_CORPUS} distinct random graphs")
     return _result(6, "oracle equivalence", started, failures,
-                   f"{exhaustive} exhaustive (<= 6 vertices) + "
+                   f"{exhaustive} exhaustive (<= 7 vertices) + "
                    f"{sampled} distinct random (<= 8 vertices)")
 
 
-def _all_trees():
-    import networkx as nx
-
-    yield Graph(1, [])
-    for order in range(2, MAX_TREE_ORDER + 1):
-        for T in nx.nonisomorphic_trees(order):
-            relabel = {node: i for i, node in enumerate(sorted(T.nodes))}
-            yield Graph(order, [(relabel[u], relabel[v]) for u, v in T.edges])
-
-
 def check_trees() -> ClaimResult:
-    """is_eocd_tree matches the exact solver on every tree up to 12
-    vertices, and decompose/replay round-trips each EOCD tree."""
+    """is_eocd_tree matches the exact solver on every rooted tree up to 12
+    vertices (each free tree from each root up to symmetry), and decompose/replay
+    round-trips each EOCD tree."""
     started = time.perf_counter()
     failures = []
     total = eocd_count = 0
-    for t in _all_trees():
+    for t in chain.from_iterable(map(rooted_trees, range(1, MAX_TREE_ORDER + 1))):
         total += 1
         tag = f"tree n={t.n} edges={sorted(t.edges())}"
         res = is_eocd_tree(t)

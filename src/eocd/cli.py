@@ -240,10 +240,6 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:   # claims 6 and 7 draw their corpora from networkx, a test-only extra
-        import networkx  # noqa: F401
-    except ImportError:
-        raise UsageError("report paper-claims needs networkx (pip install networkx)")
     results = claims.run_all(report=lambda r: print(r.line, flush=True))
     failed = [r for r in results if not r.ok]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")

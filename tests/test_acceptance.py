@@ -43,13 +43,14 @@ def test_claim_05_sierpinski(announce):
 
 def test_claim_06_oracle_equivalence(announce):
     result = announce(claims.check_oracle_equivalence)
+    assert "1252 exhaustive" in result.detail
     assert "10000 distinct random" in result.detail
 
 
 def test_claim_07_trees(announce):
     result = announce(claims.check_trees)
     assert result.seconds < 300
-    assert "987 trees" in result.detail
+    assert "7813 trees" in result.detail
 
 
 def test_claim_08_necessity_witnesses(announce):

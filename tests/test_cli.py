@@ -324,19 +324,6 @@ def test_solve_long_path(tmp_path, capsys):
     assert text.startswith("gamma   1334\ngamma_t 2000\nD ") and "\nP " in text
 
 
-def test_report_without_networkx_is_a_usage_error(capsys, monkeypatch):
-    import eocd.claims
-
-    def ran(*args, **kwargs):
-        raise AssertionError("a claim ran without networkx")
-
-    monkeypatch.setitem(sys.modules, "networkx", None)   # import networkx now fails
-    monkeypatch.setattr(eocd.claims, "run_all", ran)
-    code, text, err = run(capsys, "report", "paper-claims")
-    assert code == 2 and text == ""
-    assert err.count("\n") == 1 and "networkx" in err
-
-
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     import eocd.cli
 

@@ -1,12 +1,15 @@
 """Source rules: invariants are explicit checks, since `python -O` strips
-`assert` statements."""
+`assert` statements, and the package needs nothing beyond the standard
+library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import eocd
 
 SOURCES = sorted(Path(eocd.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_package_has_no_assert_statements():
@@ -15,4 +18,25 @@ def test_package_has_no_assert_statements():
              for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def _imported(path):
+    """The top-level module of each absolute import in `path`."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_imports_are_the_standard_library_or_the_test_extra():
+    # the package, its claim corpora included, runs in an install without
+    # extras; the tests may add only what `[test]` in pyproject.toml lists
+    stdlib = set(sys.stdlib_module_names) | {"eocd"}
+    assert TESTS and Path(__file__) in TESTS
+    found = [f"{path.name}: {name}" for path in SOURCES
+             for name in _imported(path) if name not in stdlib]
+    found += [f"{path.name}: {name}" for path in TESTS
+              for name in _imported(path) if name not in stdlib | {"pytest", "hypothesis"}]
     assert not found, found

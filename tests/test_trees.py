@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eocd.claims import rooted_trees
 from eocd.families import path
 from eocd.graph import Graph
 from eocd.solver import find_ecd, find_eod, is_ecd_set, is_eod_set
@@ -295,26 +296,6 @@ def test_grow_and_decompose_are_pinned(steps, seed, n, grown, peeled):
     assert hashlib.sha256(decompose(g, d, p).serialize().encode()).hexdigest() == peeled
 
 
-def _rooted_trees(n):
-    """Every rooted tree on n vertices, root 0, once each: the level
-    sequences of Beyer and Hedetniemi (SIAM J. Comput. 9, 1980), each
-    vertex numbered in preorder and joined to the last vertex one level up."""
-    level = list(range(n))
-    while True:
-        last, edges = {}, []
-        for i, lv in enumerate(level):
-            if lv:
-                edges.append((last[lv - 1], i))
-            last[lv] = i
-        yield Graph(n, edges)
-        p = max((i for i in range(n) if level[i] > 1), default=None)
-        if p is None:
-            return
-        q = max(i for i in range(p) if level[i] == level[p] - 1)
-        for i in range(p, n):
-            level[i] = level[i - (p - q)]
-
-
 def _certificate_text(t):
     res = is_eocd_tree(t)
     if res is None:
@@ -343,8 +324,13 @@ def test_grown_tree_certificates_are_pinned(steps, seed):
     assert _sha(_certificate_text(g)) == CERTIFICATE_PINS[steps, seed]
 
 
+def test_rooted_trees_count_a000081():
+    counts = [sum(1 for _ in rooted_trees(n)) for n in range(1, 13)]
+    assert counts == [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
+
+
 def test_small_tree_certificates_are_pinned():
-    trees = [t for n in range(1, 11) for t in _rooted_trees(n)]
+    trees = [t for n in range(1, 11) for t in rooted_trees(n)]
     assert len(trees) == 1205   # rooted trees on 1..10 vertices (OEIS A000081)
     assert sum(_certificate_text(t) != "none\n" for t in trees) > 0
     for t in trees:   # is_eocd_tree does not re-check its result; this does
