@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, permutations, product
 
 from .families import FAMILIES, complete_bipartite, cycle, hypercube, path
@@ -23,6 +24,7 @@ from .reduction import (
     assignment_from_witness,
     brute_force_one_in_three,
     build_reduction,
+    gadget_vertex,
     witness_from_assignment,
 )
 from .sierpinski import (
@@ -51,6 +53,7 @@ ORACLE_SEED = 20_260_826
 MAX_TREE_ORDER = 12        # claim 7 checks every tree up to this many vertices
 REDUCTION_RANDOM = 100     # random formulas claim 9 adds to the exhaustive ones
 REDUCTION_SEED = 31_337
+EXTREMAL_SEED = 1_010      # planted disjoint-certificate graphs of claim 10
 RECOGNIZER_SEED = 404      # random graphs of claim 11
 
 
@@ -149,11 +152,7 @@ def check_sierpinski() -> ClaimResult:
 
 
 def open_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for v in range(g.n):
-        for w in g.neighbors(v):
-            masks[v] |= 1 << w
-    return masks
+    return [sum(1 << w for w in row) for row in g._adj]
 
 
 def closed_masks(g: Graph) -> list[int]:
@@ -165,17 +164,15 @@ def _naive_exact_cover_exists(n: int, masks: list[int]) -> bool:
     full = (1 << n) - 1
     for pick in range(1 << n):
         covered = 0
-        ok = True
         v = pick
         while v:
             b = v & -v
             m = masks[b.bit_length() - 1]
             if covered & m:
-                ok = False
-                break
+                break   # with v still nonzero
             covered |= m
             v ^= b
-        if ok and covered == full:
+        if not v and covered == full:
             return True
     return False
 
@@ -231,13 +228,16 @@ def _canonical(adj, table: dict) -> tuple:
     return min(tuple(sorted((r[v], r[w]) for v, w in arcs if r[v] < r[w])) for r in ranks)
 
 
-def graphs(n_max: int):
+@cache
+def graphs(n_max: int) -> tuple[Graph, ...]:
     """Every graph on 1..n_max vertices once up to isomorphism, by order, as
     `Graph._of` rows: vertex k - 1 joins each graph on k - 1 vertices to each
     subset, and the first graph with each canonical form stays (vertex
-    augmentation, McKay, J. Algorithms 1998); `_canonical` is slow past 7."""
+    augmentation, McKay, J. Algorithms 1998); `_canonical` is slow past 7.
+    Built once per n_max and shared, since the graphs are immutable."""
     table: dict = {}
     level = [()]   # the graph on no vertex
+    out: list[Graph] = []
     for k in range(1, n_max + 1):
         grown: dict = {}
         for adj in level:
@@ -246,7 +246,8 @@ def graphs(n_max: int):
                 new += (tuple(v for v in range(k - 1) if mask >> v & 1),)
                 grown.setdefault(_canonical(new, table), new)
         level = list(grown.values())
-        yield from (Graph._of(k, adj) for adj in level)
+        out += (Graph._of(k, adj) for adj in level)
+    return tuple(out)
 
 
 def check_oracle_equivalence() -> ClaimResult:
@@ -399,10 +400,20 @@ def check_reduction() -> ClaimResult:
     rng = random.Random(REDUCTION_SEED)
     formulas = list(_exhaustive_formulas())
     formulas += [_random_formula(rng) for _ in range(REDUCTION_RANDOM)]
+    eod_sets = 0
     for idx, f in enumerate(formulas):
         tag = f"formula #{idx} ({f.n_vars} vars, {len(f.clauses)} clauses)"
         models = brute_force_one_in_three(f)
         g, _ = build_reduction(f)
+        # the gadget lemma behind assignment_from_witness, on every EOD set:
+        # exactly one of u_i, ub_i, and u_i in D reads as a model
+        for d in iter_efficient_sets(g, closed=False):
+            eod_sets += 1
+            u_in = tuple(gadget_vertex(i, "u") in d for i in range(f.n_vars))
+            if any(u == (gadget_vertex(i, "ub") in d) for i, u in enumerate(u_in)):
+                failures.append(f"{tag}: an EOD set holds both or neither of some u_i, ub_i")
+            elif u_in not in models:
+                failures.append(f"{tag}: an EOD set reads as {u_in}, not a model")
         cert = find_eocd(g)
         if (cert is not None) != bool(models):
             failures.append(f"{tag}: solver says {cert is not None}, "
@@ -416,12 +427,26 @@ def check_reduction() -> ClaimResult:
         back = assignment_from_witness(f, g, built.d, built.p)
         if back != a:
             failures.append(f"{tag}: round trip gave {back}, expected {a}")
-        # any solver witness normalizes to some one-in-three model
+        # any solver witness reads as some one-in-three model
         extracted = assignment_from_witness(f, g, cert.d, cert.p)
         if extracted not in models:
             failures.append(f"{tag}: extracted assignment is not a model")
     return _result(9, "reduction", started, failures,
-                   f"{len(formulas)} formulas, equivalence and round trips hold")
+                   f"{len(formulas)} formulas, equivalence and round trips hold; "
+                   f"{eod_sets} EOD sets read as models")
+
+
+def _planted_disjoint(rng: random.Random, k: int) -> Graph:
+    """k copies of P_4 and 0..6 outside vertices, each joined to one end and
+    one middle and at random to the outside vertices before it: the middles
+    stay an EOD set and the ends a disjoint ECD set."""
+    n = 4 * k + rng.randint(0, 6)
+    edges = [(4 * c + i, 4 * c + i + 1) for c in range(k) for i in range(3)]
+    for x in range(4 * k, n):
+        edges += [(x, 4 * rng.randrange(k) + rng.choice((0, 3))),
+                  (x, 4 * rng.randrange(k) + rng.choice((1, 2)))]
+        edges += [(w, x) for w in range(4 * k, x) if rng.random() < 0.5]
+    return Graph(n, edges)
 
 
 def _extremal_corpus():
@@ -435,6 +460,10 @@ def _extremal_corpus():
     for t in range(1, 5):
         yield f"K_{{1,{t}}}", complete_bipartite(1, t)
     yield "Q_1", hypercube(1)
+    rng = random.Random(EXTREMAL_SEED)
+    for i in range(24):
+        k = i % 3 + 1
+        yield f"planted {k} x P_4 #{i} (seed {EXTREMAL_SEED})", _planted_disjoint(rng, k)
 
 
 def check_extremal_relations() -> ClaimResult:

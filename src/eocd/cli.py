@@ -94,10 +94,8 @@ def _write_output(args, text: str) -> None:
 
 
 def _show(args, g: Graph, vertices) -> str:
-    ids = sorted(vertices)
-    if args.labels and g.labels:
-        return "[" + ", ".join(g.labels.get(v, str(v)) for v in ids) + "]"
-    return "[" + ", ".join(map(str, ids)) + "]"
+    labels = g.labels if args.labels else {}
+    return "[" + ", ".join(labels.get(v, str(v)) for v in sorted(vertices)) + "]"
 
 
 def _print_sets(args, g: Graph, sets: dict) -> None:

@@ -3,10 +3,11 @@
 Every variable contributes a fixed 23-vertex gadget; every clause
 contributes one vertex wired to the u / u-bar vertex of each of its
 literals.  The resulting graph is an EOCD graph exactly when the formula
-has an assignment making exactly one literal per clause true, and
-witnesses translate constructively in both directions.  The graph is
-built once, through `Graph._of`, from one gadget template of sorted
-rows, checked when the module loads.
+has an assignment making exactly one literal per clause true.  Witnesses
+translate constructively in both directions; a model is read off the EOD
+set alone, since the gadget puts exactly one of u, u-bar in every EOD
+set.  The graph is built once, through `Graph._of`, from one gadget
+template of sorted rows, checked when the module loads.
 """
 
 from __future__ import annotations
@@ -162,12 +163,9 @@ def brute_force_one_in_three(f: CnfFormula) -> list[tuple[bool, ...]]:
     if f.n_vars > ENUMERATION_GUARD:
         raise FormulaError(
             f"{f.n_vars} variables exceed the enumeration guard {ENUMERATION_GUARD}")
-    out = []
-    for bits in range(1 << f.n_vars):
-        assignment = tuple(bool(bits >> v & 1) for v in range(f.n_vars))
-        if is_one_in_three(f, assignment):
-            out.append(assignment)
-    return out
+    assignments = (tuple(bool(bits >> v & 1) for v in range(f.n_vars))
+                   for bits in range(1 << f.n_vars))
+    return [a for a in assignments if is_one_in_three(f, a)]
 
 
 def witness_from_assignment(f: CnfFormula, assignment) -> EocdCertificate:
@@ -189,46 +187,25 @@ def witness_from_assignment(f: CnfFormula, assignment) -> EocdCertificate:
 
 
 def assignment_from_witness(f: CnfFormula, g: Graph, d, p) -> tuple[bool, ...]:
-    """Read a one-in-three assignment off any EOD/ECD witness pair.
+    """Read the one-in-three model off an EOD/ECD witness pair: x_i is true
+    exactly when u_i is in D.  P is checked as input but not read, since
+    every EOD set holds exactly one of u_i, ub_i (claim 9 checks this on
+    every EOD set of its formulas):
 
-    The ECD set is first normalized gadget by gadget so that the variable
-    vertex in P agrees with the one in D; the normalized set is
-    re-verified rather than trusted, and a failure is surfaced.
+    - t3 and t4 hang on q, so q is in D.
+    - If t2 is in D, q's one D-neighbour is t2, so c1 is not.  Walking round
+      the 7-cycle then forces c4 and c5 into D, and c4 ends up with two
+      D-neighbours.  So t2 is not in D.
+    - That leaves u or ub as t1's one D-neighbour.
+    - A clause vertex's only neighbours are the u / ub of its three
+      literals, so exactly one literal is true.
     """
-    d, p = frozenset(d), frozenset(p)
+    d = frozenset(d)
     if not is_eod_set(g, d):
         raise InvalidCertificateError("D is not an EOD set of the reduction graph")
     if not is_ecd_set(g, p):
         raise InvalidCertificateError("P is not an ECD set of the reduction graph")
-    p_norm = set(p)
-    for i in range(f.n_vars):
-        u, ub = gadget_vertex(i, "u"), gadget_vertex(i, "ub")
-        nice = (u in d and u in p) or (ub in d and ub in p)
-        if nice:
-            continue
-        if u in p:
-            drop = {u} | {gadget_vertex(i, nm) for nm in ("w3", "w6", "w7")}
-            add = {ub} | {gadget_vertex(i, nm) for nm in ("w2", "w5")}
-        elif ub in p:
-            drop = {ub} | {gadget_vertex(i, nm) for nm in ("w5", "w1", "w2")}
-            add = {u} | {gadget_vertex(i, nm) for nm in ("w3", "w7")}
-        else:
-            raise InvalidCertificateError(
-                f"gadget {i}: neither variable vertex lies in P")
-        p_norm = (p_norm - drop) | add
-    if not is_ecd_set(g, p_norm):
-        raise InvalidCertificateError("normalized P is not an ECD set; witness malformed")
-    assignment = []
-    for i in range(f.n_vars):
-        u, ub = gadget_vertex(i, "u"), gadget_vertex(i, "ub")
-        if u in d and u in p_norm:
-            assignment.append(True)
-        elif ub in d and ub in p_norm:
-            assignment.append(False)
-        else:
-            raise InvalidCertificateError(
-                f"gadget {i} is not nice after normalization")
-    assignment = tuple(assignment)
+    assignment = tuple(gadget_vertex(i, "u") in d for i in range(f.n_vars))
     if not is_one_in_three(f, assignment):
         raise RuntimeError(f"extracted assignment {assignment} is not one-in-three")
     return assignment

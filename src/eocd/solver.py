@@ -560,15 +560,9 @@ def check_empty_dp_characterization(g: Graph, a) -> bool:
     a = _vertex_set(g, a)
     if not _is_disjoint_p4s(g, a):
         return False
-    deg_in_a = {v: sum(1 for w in g.neighbors(v) if w in a) for v in a}
-    for v in range(g.n):
-        if v in a:
-            continue
-        d1 = sum(1 for w in g.neighbors(v) if w in a and deg_in_a[w] == 1)
-        d2 = sum(1 for w in g.neighbors(v) if w in a and deg_in_a[w] == 2)
-        if d1 != 1 or d2 != 1:
-            return False
-    return True
+    deg_in_a = {v: sum(w in a for w in g.neighbors(v)) for v in a}   # 1 or 2, as <A> is kP4
+    return all(sorted(deg_in_a[w] for w in g.neighbors(v) if w in a) == [1, 2]
+               for v in range(g.n) if v not in a)
 
 
 def check_empty_pd_characterization(g: Graph, d) -> bool:
@@ -586,15 +580,11 @@ def check_empty_pd_characterization(g: Graph, d) -> bool:
             return False
         partner[v] = inside[0]
     p_end = set()
-    for v in sorted(d):
-        w = partner[v]
-        if v > w:
-            continue
-        leaves = [x for x in (v, w) if g.degree(x) == 1]
-        if not leaves:
-            return False
-        others = [x for x in (v, w) if g.degree(x) > 1]
-        p_end.add(others[0] if others else min(v, w))
+    for v, w in partner.items():
+        if v < w:   # the P-endpoint of a K2 component is its smaller vertex
+            if g.degree(v) > 1 and g.degree(w) > 1:
+                return False
+            p_end.add(w if g.degree(w) > 1 else v)
     for v in range(g.n):
         if v in d:
             continue

@@ -17,7 +17,7 @@ from eocd.solver import (
 
 @pytest.fixture(scope="module")
 def atlas():
-    return list(graphs(7))
+    return graphs(7)
 
 
 def _some_subset(n, pred):
@@ -39,15 +39,16 @@ def test_characterization_matches_search_on_the_atlas(atlas, mode, characterizat
     assert hits > 0
 
 
-@pytest.mark.parametrize("characterization", [
-    check_empty_dp_characterization, check_empty_pd_characterization,
-], ids=["empty-dp", "empty-pd"])
+@pytest.mark.parametrize("characterization, valid", [
+    (check_empty_dp_characterization, (Graph(4, [(0, 1), (1, 2), (2, 3)]), {0, 1, 2, 3})),
+    (check_empty_pd_characterization, (Graph(3, [(0, 1), (0, 2)]), {0, 1})),
+], ids=["empty-dp", "empty-pd"])   # P_4 with D = {1, 2}, P = {0, 3}; P_3 with D = {0, 1}
 @pytest.mark.parametrize("bad", [4, -1])
-def test_characterizations_reject_ids_outside_the_graph(characterization, bad):
-    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert check_empty_dp_characterization(p4, {0, 1, 2, 3})   # D = {1, 2}, P = {0, 3}
-    with pytest.raises(GraphError, match=f"vertex {bad} outside 0..3"):
-        characterization(p4, {0, 1, 2, bad})
+def test_characterizations_reject_ids_outside_the_graph(characterization, valid, bad):
+    g, s = valid
+    assert characterization(g, s)
+    with pytest.raises(GraphError, match=f"vertex {bad} outside 0..{g.n - 1}"):
+        characterization(g, s | {bad})
 
 
 def test_empty_pd_characterization_does_not_alias_negative_ids():

@@ -22,7 +22,7 @@ from eocd.reduction import (
     reduction_order,
     witness_from_assignment,
 )
-from eocd.solver import InvalidCertificateError, find_eocd
+from eocd.solver import InvalidCertificateError, find_eocd, iter_efficient_sets
 
 F1 = CnfFormula(3, (((0, True), (1, True), (2, True)),))
 
@@ -124,6 +124,27 @@ def test_extraction_rejects_invalid_witness():
         assignment_from_witness(F1, g, frozenset({0}), frozenset({1}))
 
 
+def test_extraction_checks_p_although_it_reads_only_d():
+    g, _ = build_reduction(F1)
+    cert = witness_from_assignment(F1, (True, False, False))
+    with pytest.raises(InvalidCertificateError, match="^P is not an ECD set"):
+        assignment_from_witness(F1, g, cert.d, cert.p - {gadget_vertex(0, "q")})
+
+
+def test_solver_witness_whose_p_disagrees_with_d_reads_as_d():
+    # find_eocd pairs its first EOD set with its first ECD set: here they put
+    # u_2 and u_5 on opposite sides, and the model is the one D gives
+    f = parse_dimacs("p cnf 8 5\n1 -6 8 0\n1 -3 -7 0\n-4 6 -7 0\n1 6 -7 0\n-6 7 -8 0\n")
+    g, _ = build_reduction(f)
+    cert = find_eocd(g)
+    disagree = [i for i in range(f.n_vars)
+                if (gadget_vertex(i, "u") in cert.d) != (gadget_vertex(i, "u") in cert.p)]
+    assert disagree == [1, 4]
+    model = assignment_from_witness(f, g, cert.d, cert.p)
+    assert model == tuple(gadget_vertex(i, "u") in cert.d for i in range(f.n_vars))
+    assert model in brute_force_one_in_three(f)
+
+
 def test_solver_agrees_on_unsat_formula():
     f = CnfFormula(3, (((0, True), (1, True), (2, True)),
                        ((0, False), (1, False), (2, False))))
@@ -158,6 +179,19 @@ def formulas(draw):
         lambda vp: tuple(zip(vp[0][:3], vp[1])))
     clauses = draw(st.lists(clause, max_size=8)) if n_vars >= 3 else []
     return CnfFormula(n_vars, tuple(clauses))
+
+
+@given(formulas())
+@settings(max_examples=200, deadline=None)
+def test_every_eod_set_holds_one_variable_vertex_per_gadget_and_reads_as_a_model(f):
+    """The gadget lemma that lets assignment_from_witness read D alone."""
+    g, _ = build_reduction(f)
+    models = brute_force_one_in_three(f)
+    for d in iter_efficient_sets(g, closed=False):
+        for i in range(f.n_vars):
+            assert (gadget_vertex(i, "u") in d) != (gadget_vertex(i, "ub") in d)
+            assert gadget_vertex(i, "t2") not in d
+        assert tuple(gadget_vertex(i, "u") in d for i in range(f.n_vars)) in models
 
 
 @given(formulas())
