@@ -73,10 +73,11 @@ class CnfFormula:
 
 
 def parse_dimacs(source: str | Iterable[str]) -> CnfFormula:
-    """DIMACS CNF subset: `p cnf <vars> <clauses>`, clauses of exactly
-    three nonzero literals terminated by 0.  `source` is the text or an
-    iterable of its lines (an open file), read one line at a time.  Every
-    error names the 1-based line it is about."""
+    """DIMACS CNF subset: exactly one `p cnf <vars> <clauses>` line, before
+    the clauses, and clauses of exactly three nonzero literals terminated
+    by 0.  `source` is the text or an iterable of its lines (an open file),
+    read one line at a time.  Every error names the 1-based line it is
+    about."""
     n_vars = expected = None
     problem = lineno = 0   # the problem line's number; the last line's number
     clauses = []
@@ -86,6 +87,8 @@ def parse_dimacs(source: str | Iterable[str]) -> CnfFormula:
             continue
         try:
             if line.startswith("p"):
+                if problem:
+                    raise FormulaError(f"a second problem line; the first is line {problem}")
                 tok = line.split()
                 if len(tok) != 4 or tok[1] != "cnf":
                     raise FormulaError("a problem line is 'p cnf <vars> <clauses>'")

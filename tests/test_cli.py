@@ -172,6 +172,13 @@ def test_reduce_solve_extract(tmp_path, capsys):
     code, text, _ = run(capsys, "reduce", str(unsat), "--solve")
     assert code == 1
     assert "no one-in-three model" in text
+    # a second problem line is refused, not read as new counts
+    two = tmp_path / "two.cnf"
+    two.write_text("p cnf 3 1\n1 2 3 0\np cnf 5 2\n-1 4 5 0\n")
+    code, text, err = run(capsys, "reduce", str(two), "--solve", "--extract")
+    assert code == 2 and text == ""
+    assert err == ("error: line 3: a second problem line; the first is line 1 "
+                   "in 'p cnf 5 2'\n")
 
 
 def test_max_vertices_guard(tmp_path, capsys):

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from eocd.graph import (
     Graph,
     GraphError,
+    _parse_dump,
     certificate_violations,
     connected_components,
     contract_edges,
@@ -208,6 +209,8 @@ def test_dump_parse_identity(g, data):
     h = parse_edge_list(dump_edge_list(g))
     assert sorted(h.edges()) == sorted(g.edges())
     assert h.labels == labels
+    bare = _parse_dump(dump_edge_list(Graph(g.n, g.edges())), None)   # the bulk reader's form
+    assert bare is not None and bare._adj == h._adj
 
 
 def _reference_parse_edge_list(source, max_vertices=None):
@@ -345,6 +348,63 @@ def test_parse_edge_list_matches_the_reference_parser(line_end_variants, text):
         assert got == _outcome(_reference_parse_edge_list, source), text
         if not isinstance(source, str):
             source.close()
+
+
+# dump_edge_list's form of an unlabelled graph, and one defect at a time;
+# True where the str goes to the bulk reader
+_DUMP_DEFECTS = [
+    ("4 3\n0 1\n1 2\n0 3\n", True),
+    ("4 3\n0 1\n1 2\n3 0\n", True),            # an edge written high end first
+    ("4 0\n", True),
+    ("0 0\n", True),
+    ("4 3\n0 1\n1 2\n0 1\n", False),           # a repeat
+    ("4 3\n0 1\n1 2\n2 1\n", False),           # a repeat, the other way round
+    ("4 2\n0 1\n2 2\n", False),                # a self-loop
+    ("4 2\n0 1\n2 4\n", False),                # id = n
+    ("4 2\n4 1\n0 1\n", False),
+    ("4 1\n0 1\n1 2\n", False),                # m - 1
+    ("4 3\n0 1\n1 2\n", False),                # m + 1
+    ("4 2\n01 2\n1 3\n", False),               # a `01` id, which int() reads as 1
+    ("4 2\n0 1\n1 02\n", False),
+    ("04 1\n0 1\n", True),                     # the header is read by int()
+    ("4 2\n0 1\n1 2", False),                  # no final LF
+    ("4 0\n3", False),                         # a last line of digits only
+    ("4 1\n0 \n13", False),
+    ("4 2\n0 1\n1 2\nL 0 a\n", False),         # a trailing `L` line
+    ("# c\n4 2\n0 1\n1 2\n", False),           # a leading comment
+    ("4 2\n0 1\n1 2\n\n", False),              # a blank last line
+    ("4 2 \n0 1\n1 2\n", False),               # padding
+    ("4 2\n0  1\n1 2\n", False),
+    ("4 2\n+0 1\n1 2\n", False),
+    ("4 2\n0 1\n1 2 # c\n", False),
+    ("4 2\n0 1\n1 \u0662\n", False),           # a non-ASCII digit
+    ("4 2\n0 1 2\n3\n", False),                # as many separators, in the wrong places
+    ("4 2\n0 \n 1\n", False),                  # separators in place, ids missing
+    ("x 0\n", False),
+    ("", False),
+]
+
+
+def test_parse_edge_list_matches_the_reference_parser_on_dump_defects(line_end_variants):
+    for text, bulk in _DUMP_DEFECTS:
+        assert (_parse_dump(text, None) is not None) == bulk, text
+        for source in line_end_variants(text):
+            got = _outcome(parse_edge_list, source)
+            if not isinstance(source, str):
+                source.seek(0)
+            assert got == _outcome(_reference_parse_edge_list, source), text
+
+
+def test_parse_edge_list_refuses_hostile_headers_without_allocating(line_end_variants):
+    # a str in dump form is declined before anything the size of m or n is made
+    cases = [("2 1000000000000\n0 1\n", {}, "line 1: header promises 1000000000000 edges, found 1"),
+             ("100 0\n", {"max_vertices": 10},
+              "line 1: 100 vertices, above --max-vertices 10 in '100 0'")]
+    for text, kwargs, message in cases:
+        for source in line_end_variants(text):
+            with pytest.raises(GraphError) as info:
+                parse_edge_list(source, **kwargs)
+            assert str(info.value) == message, text
 
 
 @given(graphs())

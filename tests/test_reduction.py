@@ -68,6 +68,9 @@ def test_parse_dimacs_errors_name_the_line(line_end_variants):
         ("p cnf 3 1\n1 2 3\n", "line 2", "single 0"),            # missing terminator
         ("c only\n", "line 2", "problem line"),                  # no problem line
         ("c\np cnf 3 2\n1 2 3 0\n", "line 2", "promises 2"),   # clause count
+        ("p cnf 3 1\n1 2 3 0\np cnf 5 2\n-1 4 5 0\n", "line 3",
+         "a second problem line; the first is line 1 in 'p cnf 5 2'"),   # counts not replaced
+        ("c\np cnf 3 0\np cnf 3 0\n", "line 3", "the first is line 2"),
     ]
     for text, where, what in cases:
         for source in line_end_variants(text):
@@ -79,6 +82,8 @@ def test_parse_dimacs_errors_name_the_line(line_end_variants):
 def test_parse_dimacs_reads_no_line_after_a_refusal(lines_then_fail):
     with pytest.raises(FormulaError, match="^line 3: invalid literal"):
         parse_dimacs(lines_then_fail(["p cnf 3 1\n", "\n", "1 2 x 0\n"]))
+    with pytest.raises(FormulaError, match="^line 2: a second problem line; the first is line 1"):
+        parse_dimacs(lines_then_fail(["p cnf 3 0\n", "p cnf 5 0\n"]))
     assert parse_dimacs(iter(["p cnf 3 1\n", "1 2 3 0\n"])).n_vars == 3
 
 
