@@ -17,9 +17,8 @@ import traceback
 
 from . import claims
 from .families import FAMILIES
-from .graph import Graph, GraphError, certificate_violations, dump_edge_list, parse_edge_list
+from .graph import Graph, certificate_violations, dump_edge_list, parse_edge_list
 from .reduction import (
-    FormulaError,
     assignment_from_witness,
     build_reduction,
     parse_dimacs,
@@ -32,14 +31,7 @@ from .solver import (
     gamma,
     gamma_t,
 )
-from .trees import (
-    DecomposeError,
-    OpPreconditionError,
-    TreeOpSequence,
-    decompose,
-    random_eocd_tree,
-    replay,
-)
+from .trees import TreeOpSequence, decompose, random_eocd_tree, replay
 
 
 DEFAULT_MAX_VERTICES = 4096
@@ -322,8 +314,7 @@ def main(argv=None) -> int:
         return code
     except SystemExit:   # --help, the only exit left to argparse
         return 0
-    except (UsageError, GraphError, FormulaError, DecomposeError,
-            OpPreconditionError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:   # GraphError, FormulaError, OpPreconditionError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:   # files go through _read and _write_output: this is stdout

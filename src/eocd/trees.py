@@ -12,10 +12,13 @@ lists indexed by vertex id, and it reads a `Graph`'s sorted rows, so a
 tie between children goes to the smallest id.
 
 The certificate is checked in full where it enters (`apply_step`,
-`decompose`).  After each step only the vertices whose hit count the
-step can change are checked (`_check_step`): the certificate before the
-step was valid, so that is the whole check.  `is_eocd_tree` does not
-re-check the pair it reads off the DP; claim 7 and the tests do.
+`decompose`) and nowhere after.  Each operation's clauses keep it valid
+(`_apply_labeled` gives the argument; a test applies every step they
+accept to small certified graphs).  `decompose` peels by the paper's
+case analysis; claim 7 replays its sequence for every certificate pair
+of the trees up to 12 vertices and compares tree, D and P with the
+input.  `is_eocd_tree` does not re-check the pair it reads off the DP;
+claim 7 and the tests do.
 
 Internally trees are adjacency dicts over arbitrary integer labels so
 that decomposition can delete vertices without relabeling; the public
@@ -35,7 +38,6 @@ from .graph import (
     Graph,
     VertexSet,
     certificate_violations,
-    describe_violation,
     is_tree,
     text_lines,
 )
@@ -51,8 +53,9 @@ class OpPreconditionError(ValueError):
     """An operation's precondition failed; the message names the clause."""
 
 
-class DecomposeError(ValueError):
-    """The decomposition case analysis met a state it cannot justify."""
+class DecomposeError(RuntimeError):
+    """The decomposition case analysis met a state it cannot justify.  Its
+    input was checked first, so this is a fault in eocd, not in the input."""
 
 
 @dataclass(frozen=True)
@@ -169,24 +172,6 @@ def _check_cert(adj: dict, d: set, p: set, context: str) -> None:
             raise OpPreconditionError(f"{context}: {problem}")
 
 
-def _check_step(adj: dict, d: set, p: set, touched, flips, context: str) -> None:
-    """`_check_cert` at the vertices whose hit counts a step can change: the
-    `touched` ends of the edges it adds or removes, and N[z] for each old
-    vertex z in its P `flips`.  That is the whole check when the
-    certificate before the step was valid."""
-    near = {x for x in touched if x in adj}
-    for z in flips:
-        near.add(z)
-        near.update(adj[z])
-    for name, members, closed in (("D", d, False), ("P", p, True)):
-        for x in sorted(near):
-            via = adj[x] & members   # O(min(deg x, |members|))
-            if closed and x in members:
-                via.add(x)
-            if len(via) != 1:
-                raise OpPreconditionError(f"{context}: {describe_violation(x, sorted(via), name)}")
-
-
 def _require(cond: bool, op: str, clause: str) -> None:
     if not cond:
         raise OpPreconditionError(f"{op}: {clause}")
@@ -194,7 +179,28 @@ def _require(cond: bool, op: str, clause: str) -> None:
 
 def _apply_labeled(adj: dict, d: set, p: set, step: TreeOpStep) -> tuple:
     """Apply one operation in place; raises on any violated clause.  Returns
-    the anchor the new path hangs from, the new vertices and the P flips."""
+    the anchor the new path hangs from, the new vertices and the P flips.
+
+    The clauses keep a certificate (D, P) valid, on any graph.  New vertices
+    are outside D and P unless the step puts them there, and "a: b, c" says
+    that b is a's one D-neighbour and c the one P vertex of N[a]:
+    - O1, v on u in D&P: v: u, u.
+    - O2, x-u-v on w outside D; u, v into D; v into P if w is, else u.
+      x: u and the P vertex of {w, u}; u: v and v: u, with that of {u, v}.
+    - O3, z-w-x-u-v on t in D-P, u and x into D, v and w into P: z: t, w;
+      w: x, w; x: u, w; u: x, v; v: u, v.
+    - O4, the leaf v on u with N(u) = {v, x}, u and x in D, u in P; P moves
+      from u to v and y hangs in P on x.  v and x are outside P, as N[u]
+      holds u.  u: x, v; v: u, v; y: x, y; N[x] trades u for y.  x = v is
+      refused: y would hang in P next to v in P.
+    - O5, the walk u-x-w-z-w'-x' with leaves u, x', degree-2 x, w, w', all
+      of u, x, w', x' in D and x, w' in P; P moves from x to w and from w'
+      to x', and v hangs in P on u.  The certificate makes the six distinct,
+      u, w, z, x' outside P and w, z outside D.  N[x] and N[w] trade x for
+      w, N[u] x for v, N[w'] and N[x'] w' for x', N[z] w' for w; v: u, v.
+    No other N[.] holds a vertex that entered or left P, and the anchor's
+    new neighbour is outside D.
+    """
     op, attach, new = step.op, step.attach, step.new
     for x in attach:
         _require(x in adj, op, f"attachment vertex {x} does not exist")
@@ -218,7 +224,7 @@ def _apply_labeled(adj: dict, d: set, p: set, step: TreeOpStep) -> tuple:
     elif op == "O4":
         (v, u, x), (y,) = attach, new
         _require(adj[v] == {u}, op, f"{v} must be a leaf attached to {u}")
-        _require(len(adj[u]) == 2 and x in adj[u], op,
+        _require(x != v and adj[u] == {v, x}, op,
                  f"{u} must have degree 2 with neighbors {v} and {x}")
         _require(u in d and x in d, op, f"{u} and {x} must lie in D")
         _require(u in p, op, f"{u} must lie in P")
@@ -243,10 +249,7 @@ def _apply_labeled(adj: dict, d: set, p: set, step: TreeOpStep) -> tuple:
         adj[x] = {prev}
         adj[prev].add(x)
         prev = x
-    flips = [attach[i] for i in OP_FLIPS.get(op, ())]
-    # a new vertex's neighbors are new vertices or the anchor
-    _check_step(adj, d, p, (anchor, *new), flips, f"after {op}")
-    return (anchor, *new, *flips)
+    return (anchor, *new, *(attach[i] for i in OP_FLIPS.get(op, ())))
 
 
 def _adj_of(g: Graph) -> dict:
@@ -274,14 +277,18 @@ def apply_step(t: Graph, d, p, step: TreeOpStep) -> tuple[Graph, VertexSet, Vert
 
 
 def replay(seq: TreeOpSequence) -> tuple[Graph, VertexSet, VertexSet]:
-    """Rebuild the labeled tree and certificate described by a sequence."""
+    """Rebuild the labeled tree and certificate described by a sequence; a
+    refused step is named by its 1-based index in `seq.steps`."""
     a, b = seq.base
     adj = {a: {b}, b: {a}}
     d, p = {a, b}, {seq.base_p}
     if seq.base_p not in (a, b):
         raise OpPreconditionError(f"base P vertex {seq.base_p} is not a base vertex")
-    for step in seq.steps:
-        _apply_labeled(adj, d, p, step)
+    for k, step in enumerate(seq.steps, 1):
+        try:
+            _apply_labeled(adj, d, p, step)
+        except OpPreconditionError as exc:
+            raise OpPreconditionError(f"step {k}: {exc}") from None
     return _graph_of(adj), frozenset(d), frozenset(p)
 
 
@@ -536,10 +543,8 @@ def decompose(t: Graph, d, p) -> TreeOpSequence:
     (ties by smallest id) below the minimum-id root is peeled off by the
     inverse of one operation: its new vertices leave the tree, D and P,
     and its P flips are undone.  The certificate is checked in full on
-    input; after each peel `_check_step` checks the vertices whose hit
-    count the peel can change, which suffices because the certificate
-    before it was valid.  An invalid rewrite fails loudly instead of
-    guessing.
+    input and not after a peel (see the module docstring).  A state the
+    case analysis cannot justify raises DecomposeError instead of guessing.
     """
     if not is_tree(t):
         raise ValueError("input is not a tree")
@@ -577,9 +582,7 @@ def decompose(t: Graph, d, p) -> TreeOpSequence:
                 heapq.heappush(leaves, (-depth[w], w))
         d.difference_update(step.new)
         p.difference_update(step.new)
-        flips = [step.attach[i] for i in OP_FLIPS.get(step.op, ())]
-        p.symmetric_difference_update(flips)
-        _check_step(adj, d, p, touched, flips, f"after inverse {step.op}")
+        p.symmetric_difference_update(step.attach[i] for i in OP_FLIPS.get(step.op, ()))
         steps_rev.append(step)
     a, b = sorted(adj)
     _need(d == {a, b}, f"residual K2 {a},{b} must carry D = both vertices")

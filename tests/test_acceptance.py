@@ -51,6 +51,7 @@ def test_claim_07_trees(announce):
     result = announce(claims.check_trees)
     assert result.seconds < 300
     assert "7813 trees" in result.detail
+    assert "1710 certificate pairs" in result.detail
 
 
 def test_claim_08_necessity_witnesses(announce):

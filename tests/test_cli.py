@@ -161,6 +161,32 @@ def test_tree_replay_checks_max_vertices_before_replaying(tmp_path, capsys, monk
     assert parse_edge_list(out.read_text()).n == 40
 
 
+def test_tree_replay_names_the_refused_step(tmp_path, capsys):
+    # O4 with x = v walks back to its leaf: refused by the O4 clause, on step 2
+    seq = tmp_path / "seq.txt"
+    seq.write_text("O1 attach=0 new=2\nO4 attach=1,0,1 new=3\n")
+    code, text, err = run(capsys, "tree", "replay", str(seq))
+    assert code == 2 and text == ""
+    assert err == "error: step 2: O4: 0 must have degree 2 with neighbors 1 and 1\n"
+
+
+def test_decompose_fault_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # decompose checks its tree and certificate first, so a DecomposeError
+    # from the case analysis is a fault in eocd, not a refused input
+    import eocd.trees
+
+    def broken(*state):
+        raise eocd.trees.DecomposeError("simulated fault")
+
+    tree = tmp_path / "p4.g"
+    run(capsys, "generate", "path", "4", "-o", str(tree))
+    monkeypatch.setattr(eocd.trees, "_inverse_step", broken)
+    code, text, err = run(capsys, "tree", "decompose", str(tree), "--d", "1,2", "--p", "0,3")
+    assert code == 3 and text == ""
+    assert err.startswith("internal error: DecomposeError: simulated fault")
+    assert err.count("\n") == 1
+
+
 def test_reduce_solve_extract(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 3 1\n1 2 3 0\n")

@@ -6,12 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eocd.claims import rooted_trees
+from eocd.claims import graphs, rooted_trees
 from eocd.families import path
-from eocd.graph import Graph
-from eocd.solver import find_ecd, find_eod, is_ecd_set, is_eod_set
+from eocd.graph import Graph, certificate_violations
+from eocd.solver import find_ecd, find_eod, is_ecd_set, is_eod_set, iter_efficient_sets
 import eocd.trees
 from eocd.trees import (
+    OP_ARITY,
     DecomposeError,
     OpPreconditionError,
     TreeOpSequence,
@@ -253,24 +254,54 @@ def test_grown_sequence_draws_from_the_full_option_list(steps, seed):
         eocd.trees._apply_labeled(adj, d, p, step)
 
 
-def test_local_check_after_a_step_names_the_vertex():
-    # P = {0, 1} covers vertex 0 twice; the check after O1 at 0 sees it
-    adj, d, p = {0: {1}, 1: {0}}, {0, 1}, {0, 1}
-    with pytest.raises(OpPreconditionError) as info:
-        eocd.trees._apply_labeled(adj, d, p, TreeOpStep("O1", (0,), (2,)))
-    assert str(info.value) == "after O1: vertex 0 is doubly covered by P (via 0 and 1)"
+def _walks(g, length):
+    """Every walk on `length` vertices of g, repeated vertices allowed."""
+    walks = [(v,) for v in range(g.n)]
+    for _ in range(length - 1):
+        walks = [w + (x,) for w in walks for x in g._adj[w[-1]]]
+    return walks
 
 
-def test_local_check_after_a_peel_names_the_vertex(monkeypatch):
-    # a wrong inverse: peel the P leaf 3 of P4 as if O1 had added it
-    t = path(4)
-    d, p = is_eocd_tree(t)
-    assert (d, p) == ({1, 2}, {0, 3})
-    monkeypatch.setattr(eocd.trees, "_inverse_step",
-                        lambda *state: TreeOpStep("O1", (2,), (3,)))
+def _certified_states():
+    """Every (EOD, ECD) pair of the rooted trees on at most 8 vertices and of
+    the EOCD graphs on at most 6 (the prefix of claims.graphs(7)), and the
+    trees grown by a few seeds."""
+    small = [t for n in range(2, 9) for t in rooted_trees(n)] + list(graphs(6))
+    for g in small:
+        for d in iter_efficient_sets(g, closed=False):
+            for p in iter_efficient_sets(g, closed=True):
+                yield g, d, p
+    for seed in range(4):
+        yield random_eocd_tree(8, seed)[:3]
+
+
+def test_every_accepted_step_keeps_the_certificate():
+    # the operation lemma of _apply_labeled, which replay, growth and
+    # apply_step rely on instead of re-checking the certificate after a step
+    accepted = dict.fromkeys(OP_ARITY, 0)
+    for g, d, p in _certified_states():
+        attaches = [(op, v) for op in ("O1", "O2", "O3") for v in _walks(g, 1)]
+        attaches += [("O4", w) for w in _walks(g, 3)] + [("O5", w) for w in _walks(g, 6)]
+        for op, attach in attaches:
+            step = TreeOpStep(op, attach, tuple(range(g.n, g.n + OP_ARITY[op])))
+            try:
+                t, d2, p2 = apply_step(g, d, p, step)
+            except OpPreconditionError:
+                continue
+            accepted[op] += 1
+            problems = [x for x in certificate_violations(t._adj, d2, p2) if x[2]]
+            assert not problems, (sorted(g.edges()), sorted(d), sorted(p), step, problems)
+    assert min(accepted.values()) > 0, accepted
+
+
+@pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1), (0, 2)]])
+def test_o4_refuses_the_walk_back_to_its_leaf(edges):
+    # attach v,u,x with x = v would hang y in P next to v in P; K2 and the
+    # path 1-0-2 (K2 grown by O1 at 0) are both refused by the O4 clause
+    t = Graph(len(edges) + 1, edges)
     with pytest.raises(OpPreconditionError) as info:
-        decompose(t, d, p)
-    assert str(info.value) == "after inverse O1: vertex 2 is uncovered by P"
+        apply_step(t, K2_D, K2_P, TreeOpStep("O4", (1, 0, 1), (t.n,)))
+    assert str(info.value) == "O4: 0 must have degree 2 with neighbors 1 and 1"
 
 
 # SHA-256 of random_eocd_tree(steps, seed)[3].serialize() and of the
