@@ -82,18 +82,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def first_violation(adj, members, closed: bool):
-    """The first vertex not covered exactly once, or None.
-
-    Counts, in O(n + m), how often the open (closed=False) or closed
-    neighborhoods of `members` hit each vertex of 0..n-1, n = len(adj), in a
-    list indexed by vertex id; adj[v] holds the neighbors of v (a `Graph`'s
-    rows, or a dict of sets keyed by 0..n-1).  Returns the smallest vertex
-    hit other than once, with the sorted list of the members whose
-    neighborhoods hit it; None if the neighborhoods partition the vertices.
-    A member outside 0..n-1 raises GraphError.
+def hit_counts(adj, members, closed: bool = False) -> list[int]:
+    """How often the open (closed=False) or closed neighborhoods of the set
+    `members` hit each vertex of 0..n-1, n = len(adj), in a list indexed by
+    vertex id, counted in O(n + m); adj[v] holds the neighbors of v (a
+    `Graph`'s rows, or a dict of sets keyed by 0..n-1).  A member outside
+    0..n-1 raises GraphError.
     """
-    members = frozenset(members)
     n = len(adj)
     hits = [0] * n
     for x in members:
@@ -103,7 +98,17 @@ def first_violation(adj, members, closed: bool):
             hits[w] += 1
         if closed:
             hits[x] += 1
-    if hits.count(1) == n:
+    return hits
+
+
+def first_violation(adj, members, closed: bool):
+    """The smallest vertex that the `hit_counts` of `members` hit other
+    than once, with the sorted list of the members whose neighborhoods hit
+    it; None if the neighborhoods partition the vertices.
+    """
+    members = frozenset(members)
+    hits = hit_counts(adj, members, closed)
+    if hits.count(1) == len(adj):
         return None
     x = next(x for x, k in enumerate(hits) if k != 1)
     via = [w for w in adj[x] if w in members]

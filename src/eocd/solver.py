@@ -43,11 +43,11 @@ from typing import Iterator
 
 from .graph import (
     Graph,
-    GraphError,
     VertexSet,
     certificate_violations,
     connected_components,
     first_violation,
+    hit_counts,
 )
 from .trees import min_tree_cover
 
@@ -475,79 +475,63 @@ class StructureReport:
         return all(ok for _, ok, _ in self.checks)
 
 
-def _is_disjoint_p4s(g: Graph, s) -> bool:
-    """Whether the subgraph of g induced by the vertex set s is a union of P4s."""
-    seen = set()
-    for v in s:
-        if v in seen:
-            continue
-        seen.add(v)
-        comp = [v]
-        for x in comp:   # grows into the component of v
-            for w in g.neighbors(x):
-                if w in s and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        if sorted(sum(1 for w in g.neighbors(x) if w in s) for x in comp) != [1, 1, 2, 2]:
-            return False
-    return True
+def _p4_middles(adj, s) -> list[int] | None:
+    """The degree-2 vertices of <s>, the subgraph of the rows `adj` induced
+    by the vertex set s, if <s> is a disjoint union of P4s; else None.
+
+    <s> is kP4 iff every vertex of s has 1 or 2 neighbors in s and exactly
+    one among the degree-2 vertices M of <s>: then each vertex of M has one
+    neighbor in M and one leaf of <s>, whose only neighbor it is, so M
+    pairs up and each pair has one leaf on either side.
+    """
+    deg = hit_counts(adj, s)
+    middles = [v for v in s if deg[v] == 2]
+    mid = hit_counts(adj, middles)
+    return middles if all(deg[v] <= 2 and mid[v] == 1 for v in s) else None
 
 
 def classify_partition(g: Graph, cert: EocdCertificate) -> StructureReport:
-    """Check every structural rule the partition (D&P, D-P, P-D, R) must obey."""
-    cert.validate(g)
-    adj, n = g._adj, g.n
-    part = bytearray(n)   # 0: R, 1: D&P, 2: D-P, 3: P-D
-    for v in cert.d:
-        part[v] = 2
-    for v in cert.p:
-        part[v] = 1 if part[v] else 3
-    counts = [None, [0] * n, [0] * n, [0] * n]   # neighbors in D&P, D-P, P-D
-    for v, k in enumerate(part):
-        if k:
-            count = counts[k]
-            for w in adj[v]:
-                count[w] += 1
-    _, n_dp, n_do, n_po = counts
-    bad = [None] * 4   # per part, its smallest vertex that breaks the part's rule
-    for v, k in enumerate(part):
-        if bad[k] is not None:
-            continue
-        if k & 1:   # D&P and P-D: one D-P neighbor, none in P-D and D&P respectively
-            ok = n_do[v] == 1 and (n_po if k == 1 else n_dp)[v] == 0
-        else:   # R and D-P: (one P-D and one D-P neighbor) or one D&P neighbor
-            ok = (n_po[v] == 1 and n_do[v] == 1 and n_dp[v] == 0
-                  or n_dp[v] == 1 and n_po[v] == 0 and n_do[v] == 0)
-        if not ok:
-            bad[k] = v
-    two_way = "(one P-D and one D-P neighbor) or one D&P neighbor"
-    checks = [(name, bad[k] is None, "" if bad[k] is None else f"counterexample vertex {bad[k]}")
-              for k, name in ((1, "dp-vertices: one D-P neighbor, no P-D neighbors"),
-                              (3, "p-only vertices: one D-P neighbor, no D&P neighbors"),
-                              (2, f"d-only vertices: {two_way}"), (0, f"R vertices: {two_way}"))]
+    """Check every structural rule the partition (D&P, D-P, P-D, R) must obey.
 
-    dp, d_only, p_only = cert.dp, cert.d_only, cert.p_only
-    matched = dp | {w for v in dp for w in adj[v] if w in d_only}
-    ok = all(len(matched.intersection(adj[v])) == 1 for v in matched)
+    The rules read the `hit_counts` n_dp, n_do, n_po of D&P, D-P and P-D.
+    As D is EOD, a(v) = n_dp + n_do = 1, and as P is ECD, b(v) = n_dp +
+    n_po + [v in P] = 1: a vertex of P has n_dp = n_po = 0 and n_do = 1,
+    any other either n_dp = 1 alone or n_po = n_do = 1.  So the D-P
+    partner of a D&P vertex has its one D neighbor there, and a P-D vertex,
+    its D-P partner, that one's D-P partner and its P-D neighbor make a
+    P4.  A rule failing on the validated certificate is a fault in eocd.
+    """
+    cert.validate(g)
+    adj, d, p = g._adj, cert.d, cert.p
+    dp, d_only, p_only = d & p, d - p, p - d
+    n_dp, n_do, n_po = (hit_counts(adj, part) for part in (dp, d_only, p_only))
+
+    def either_way(v):
+        return (n_po[v] == 1 and n_do[v] == 1 and n_dp[v] == 0
+                or n_dp[v] == 1 and n_po[v] == 0 and n_do[v] == 0)
+
+    two_way = "(one P-D and one D-P neighbor) or one D&P neighbor"
+    checks = []
+    for name, part, ok in (
+            ("dp-vertices: one D-P neighbor, no P-D neighbors", dp,
+             lambda v: n_do[v] == 1 and n_po[v] == 0),
+            ("p-only vertices: one D-P neighbor, no D&P neighbors", p_only,
+             lambda v: n_do[v] == 1 and n_dp[v] == 0),
+            (f"d-only vertices: {two_way}", d_only, either_way),
+            (f"R vertices: {two_way}", filterfalse((d | p).__contains__, range(g.n)), either_way)):
+        bad = min(filterfalse(ok, part), default=None)
+        checks.append((name, bad is None, "" if bad is None else f"counterexample vertex {bad}"))
+
+    matched = dp | {w for w in d_only if n_dp[w]}
+    in_matched = hit_counts(adj, matched)
+    ok = all(in_matched[v] == 1 for v in matched)
     checks.append(("D&P with their D-P partners induce a matching", ok,
                    "" if ok else "induced subgraph is not a perfect matching"))
-
-    partners_po = {w for v in p_only for w in g.neighbors(v) if w in d_only}
-    partners_po |= {w for v in partners_po for w in g.neighbors(v) if w in d_only}
-    four = p_only | partners_po
-    ok4 = _is_disjoint_p4s(g, four) and 2 * (len(four) // 4) == len(p_only)
+    four = p_only | {w for w in d_only if n_po[w]}
+    ok4 = _p4_middles(adj, four) is not None and 2 * (len(four) // 4) == len(p_only)
     checks.append(("P-D with their D-P partners induce k copies of P4, 2k = |P-D|",
                    ok4, "" if ok4 else f"induced subgraph on {len(four)} vertices is not kP4"))
     return StructureReport(checks)
-
-
-def _vertex_set(g: Graph, s) -> VertexSet:
-    """s as a set of vertices of g; an id outside 0..n-1 raises GraphError."""
-    s = frozenset(s)
-    for v in s:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
-    return s
 
 
 def check_empty_dp_characterization(g: Graph, a) -> bool:
@@ -555,14 +539,15 @@ def check_empty_dp_characterization(g: Graph, a) -> bool:
 
     <A> must be a disjoint union of P4s, and every vertex outside A must
     be adjacent to exactly one degree-1 vertex of <A> and exactly one
-    degree-2 vertex of <A>.
+    degree-2 vertex of <A>.  An id outside the graph raises GraphError.
     """
-    a = _vertex_set(g, a)
-    if not _is_disjoint_p4s(g, a):
+    adj, a = g._adj, frozenset(a)
+    middles = _p4_middles(adj, a)
+    if middles is None:
         return False
-    deg_in_a = {v: sum(w in a for w in g.neighbors(v)) for v in a}   # 1 or 2, as <A> is kP4
-    return all(sorted(deg_in_a[w] for w in g.neighbors(v) if w in a) == [1, 2]
-               for v in range(g.n) if v not in a)
+    ends = hit_counts(adj, a.difference(middles))
+    mids = hit_counts(adj, middles)
+    return all(ends[v] == 1 and mids[v] == 1 for v in range(g.n) if v not in a)
 
 
 def check_empty_pd_characterization(g: Graph, d) -> bool:
@@ -570,25 +555,16 @@ def check_empty_pd_characterization(g: Graph, d) -> bool:
 
     <D> must be a perfect matching on D, every matching edge must contain
     a vertex of degree 1 in G, and every outside vertex must be adjacent
-    to exactly one matched vertex, namely the designated P-endpoint.
+    to exactly one matched vertex, namely the designated P-endpoint.  An
+    id outside the graph raises GraphError.
+
+    So every vertex has one neighbor in D, and the P-endpoints (an edge's
+    vertex of degree above 1, else its smaller) form an ECD set: an edge
+    with no leaf would put both its ends in each end's closed neighborhood.
     """
-    d = _vertex_set(g, d)
-    partner = {}
-    for v in d:
-        inside = [w for w in g.neighbors(v) if w in d]
-        if len(inside) != 1:
-            return False
-        partner[v] = inside[0]
-    p_end = set()
-    for v, w in partner.items():
-        if v < w:   # the P-endpoint of a K2 component is its smaller vertex
-            if g.degree(v) > 1 and g.degree(w) > 1:
-                return False
-            p_end.add(w if g.degree(w) > 1 else v)
-    for v in range(g.n):
-        if v in d:
-            continue
-        hits = [w for w in g.neighbors(v) if w in d]
-        if len(hits) != 1 or hits[0] not in p_end:
-            return False
-    return True
+    adj, d = g._adj, frozenset(d)
+    if hit_counts(adj, d).count(1) != g.n:
+        return False
+    # a leaf of G in D is matched to its one neighbor
+    p_end = [v for v in d if len(adj[v]) > 1 or len(adj[adj[v][0]]) == 1 and v < adj[v][0]]
+    return hit_counts(adj, p_end, closed=True).count(1) == g.n

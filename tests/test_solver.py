@@ -8,6 +8,7 @@ from typing import Iterator
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from eocd.claims import graphs, rooted_trees
 from eocd.families import complete_bipartite, cycle, hypercube, path
 from eocd.graph import Graph, GraphError
 from eocd.sierpinski import sierpinski
@@ -26,7 +27,7 @@ from eocd.solver import (
     is_eod_set,
     iter_efficient_sets,
 )
-from eocd.solver import _column_index, _covers, _is_disjoint_p4s
+from eocd.solver import _column_index, _covers, _p4_middles
 from eocd.trees import random_eocd_tree
 
 PETERSEN = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -174,6 +175,20 @@ def test_structure_report_on_valid_certificate():
     assert report.all_pass, report.checks
 
 
+def test_structure_theorem_on_every_small_certificate():
+    """Every (EOD, ECD) pair of every graph on at most 7 vertices and of
+    every rooted tree on at most 10 passes all six rules."""
+    pairs = 0
+    for g in [*graphs(7), *(t for n in range(1, 11) for t in rooted_trees(n))]:
+        ecds = list(iter_efficient_sets(g, closed=True))
+        for d in iter_efficient_sets(g, closed=False):
+            for p in ecds:
+                report = classify_partition(g, EocdCertificate(g.n, d, p))
+                assert len(report.checks) == 6 and report.all_pass, (sorted(g.edges()), d, p)
+                pairs += 1
+    assert pairs == 751
+
+
 def _brute_min_dominating(g, closed):
     for k in range(g.n + 1):
         for s in combinations(range(g.n), k):
@@ -199,9 +214,45 @@ def grown_trees(draw):
     return random_eocd_tree(draw(st.integers(1, 10)), draw(st.integers(0, 1 << 16)))[0]
 
 
+def _reference_is_kp4(g, s):
+    """Whether the subgraph of g induced by the vertex set s is a union of
+    P4s, by a walk over each component and its sorted degrees."""
+    seen = set()
+    for v in s:
+        if v in seen:
+            continue
+        seen.add(v)
+        comp = [v]
+        for x in comp:   # grows into the component of v
+            for w in g.neighbors(x):
+                if w in s and w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        if sorted(sum(1 for w in g.neighbors(x) if w in s) for x in comp) != [1, 1, 2, 2]:
+            return False
+    return True
+
+
+def test_p4_middles_matches_the_component_walk():
+    """`_p4_middles` finds kP4 exactly where the walk does, on every
+    vertex subset of every graph on at most 7 vertices."""
+    subsets = kp4 = 0
+    for g in graphs(7):
+        for mask in range(1 << g.n):
+            s = {v for v in range(g.n) if mask >> v & 1}
+            middles = _p4_middles(g._adj, s)
+            assert (middles is not None) == _reference_is_kp4(g, s), (sorted(g.edges()), s)
+            if middles is not None:   # the vertices with two neighbors in s
+                two = [v for v in sorted(s) if len(s.intersection(g.neighbors(v))) == 2]
+                assert sorted(middles) == two
+            subsets += 1
+            kp4 += middles is not None
+    assert (subsets, kp4) == (144922, 7125)
+
+
 def _reference_classify_partition(g, cert):
-    """The set-based `classify_partition` that the id-ordered sweep
-    replaced, kept as the oracle for its checks and refusals."""
+    """`classify_partition` from sets and `_reference_is_kp4`, the oracle
+    for its checks and refusals."""
     cert.validate(g)
     dp, d_only, p_only = cert.dp, cert.d_only, cert.p_only
     r = cert.r
@@ -242,7 +293,7 @@ def _reference_classify_partition(g, cert):
     partners_po = {w for v in p_only for w in g.neighbors(v) if w in d_only}
     partners_po |= {w for v in partners_po for w in g.neighbors(v) if w in d_only}
     four = p_only | partners_po
-    ok4 = _is_disjoint_p4s(g, four) and 2 * (len(four) // 4) == len(p_only)
+    ok4 = _reference_is_kp4(g, four) and 2 * (len(four) // 4) == len(p_only)
     checks.append(("P-D with their D-P partners induce k copies of P4, 2k = |P-D|",
                    ok4, "" if ok4 else f"induced subgraph on {len(four)} vertices is not kP4"))
     return checks
