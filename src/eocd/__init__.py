@@ -41,7 +41,7 @@ from .trees import (
     replay,
 )
 from .families import complete_bipartite, cycle, hypercube, path, predicted_eocd
-from .sierpinski import (
+from .families import (
     sierpinski,
     sierpinski_eod_set,
     sierpinski_gamma_t,

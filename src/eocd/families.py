@@ -6,16 +6,19 @@ builder would produce and the family's EOCD rule.  The rules are the
 ground truth the exact solver is checked against: paths are EOCD iff
 n != 1 (mod 4), cycles iff n == 0 (mod 12), complete bipartite graphs iff
 one side is a single vertex, hypercubes iff n == 1, and Sierpinski graphs
-S_p^n (p >= 3, n >= 2) iff p is even.
+S_p^n (p >= 3, n >= 2) iff p is even.  `sierpinski` builds S_p^n by its
+recursive definition (Klavzar and Milutinovic, 1997): S_p^1 = K_p, and
+S_p^(k+1) is p copies of S_p^k, copy i's extreme vertex j joined to copy
+j's extreme vertex i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Callable
 
-from .graph import Graph
-from .sierpinski import sierpinski, sierpinski_is_eocd
+from .graph import Graph, VertexSet
 
 
 def path(n: int) -> Graph:
@@ -44,6 +47,57 @@ def hypercube(n: int) -> Graph:
              if v < v ^ (1 << b)]
     labels = {v: format(v, f"0{n}b") for v in range(1 << n)}
     return Graph(1 << n, edges, labels)
+
+
+def sierpinski(p: int, n: int) -> Graph:
+    """S_p^n on the length-n digit strings over 0..p-1, numbered by their
+    base-p values and labelled by themselves; p >= 1, n >= 0.  Copy i holds
+    the strings i..., and its extreme vertex j is i j..j.  O(p^(n+1)) time."""
+    if p < 1:
+        raise ValueError(f"base p must be >= 1, got {p}")
+    if n < 0:
+        raise ValueError(f"exponent n must be >= 0, got {n}")
+    if n == 0 or p == 1:   # one vertex: the empty string "e", or n zeros
+        return Graph._of(1, ((),), {0: "0" * n or "e"})
+    rows = [tuple(w for w in range(p) if w != v) for v in range(p)]   # K_p
+    labels = [str(v) for v in range(p)]
+    heads = [f"{i}-" if p > 10 else str(i) for i in range(p)]
+    s = p   # p^k, the order of S_p^k
+    for _ in range(n - 1):
+        e = (s - 1) // (p - 1)   # extreme vertex j of a copy is j * e
+        rows = [tuple(w + i * s for w in row) for i in range(p) for row in rows]
+        labels = [head + label for head in heads for label in labels]
+        # b lies in copy j, before copy i's ids iff j < i: a's row stays sorted
+        for i, j in permutations(range(p), 2):
+            a, b = i * s + j * e, j * s + i * e
+            rows[a] = (b,) + rows[a] if j < i else rows[a] + (b,)
+        s *= p
+    return Graph._of(s, tuple(rows), dict(enumerate(labels)))
+
+
+def sierpinski_eod_set(p: int, n: int) -> VertexSet:
+    """The explicit EOD set for even p: pairs of vertices ...(2i)(2i+1)
+    and ...(2i+1)(2i) over all length-(n-2) prefixes x."""
+    if p % 2 != 0 or p < 4:
+        raise ValueError(f"explicit EOD set needs even p >= 4, got {p}")
+    if n < 2:
+        raise ValueError(f"explicit EOD set needs n >= 2, got {n}")
+    return frozenset(x * p * p + v for x in range(p ** (n - 2)) for i in range(0, p, 2)
+                     for v in (i * p + i + 1, (i + 1) * p + i))
+
+
+def sierpinski_is_eocd(p: int, n: int) -> bool:
+    """Parity criterion; only stated for p >= 3, n >= 2."""
+    if p < 3 or n < 2:
+        raise ValueError(f"criterion applies for p >= 3 and n >= 2, got p={p}, n={n}")
+    return p % 2 == 0
+
+
+def sierpinski_gamma_t(p: int, n: int) -> int:
+    """gamma_t(S_p^n) = p^(n-1) for even p >= 4, n >= 2."""
+    if p % 2 != 0 or p < 4 or n < 2:
+        raise ValueError(f"formula applies for even p >= 4 and n >= 2, got p={p}, n={n}")
+    return p ** (n - 1)
 
 
 _POWER_BITS = 1 << 16   # base ** exp past 2^_POWER_BITS reads as 2^_POWER_BITS

@@ -231,9 +231,9 @@ def parse_edge_list(source: str | Iterable[str], max_vertices: int | None = None
     """Parse the edge-list format; `#` starts a comment, `L v name` sets a label.
 
     `source` is the text or an iterable of its lines (an open file).  Every
-    error names the 1-based line it is about.  A repeated edge is an error.
-    A header with more than `max_vertices` vertices is rejected before
-    anything is allocated.
+    error names the 1-based line it is about.  A repeated edge, or a second
+    label for one vertex, is an error.  A header with more than `max_vertices`
+    vertices is rejected before anything is allocated.
 
     Two readers give the same graph or the same message on every input.
     A str that is exactly what `dump_edge_list` writes for an unlabelled
@@ -280,6 +280,8 @@ def parse_edge_list(source: str | Iterable[str], max_vertices: int | None = None
                     v = int(tok[1])
                     if not 0 <= v < n:
                         raise GraphError(f"label for unknown vertex {v}")
+                    if v in labels:
+                        raise GraphError(f"label for vertex {v} repeats an earlier label")
                     labels[v] = tok[2]
                     continue
                 if len(tok) != 2:

@@ -38,7 +38,9 @@ def test_claim_04_hypercubes(announce):
 
 
 def test_claim_05_sierpinski(announce):
-    assert announce(claims.check_sierpinski).seconds < 120
+    result = announce(claims.check_sierpinski)
+    assert result.seconds < 120
+    assert "7 EOD sets verified up to S_8^4" in result.detail
 
 
 def test_claim_06_oracle_equivalence(announce):

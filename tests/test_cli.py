@@ -298,6 +298,14 @@ def test_repeated_edge_is_an_input_error(tmp_path, capsys):
         assert err == "error: line 4: edge (2, 1) repeats an earlier edge in '2 1'\n"
 
 
+def test_repeated_label_is_an_input_error(tmp_path, capsys):
+    g = tmp_path / "relabel.g"
+    g.write_text("3 2\n0 1\n1 2\nL 0 a\nL 0 b\n")
+    code, text, err = run(capsys, "solve", str(g))
+    assert code == 2 and text == ""
+    assert err == "error: line 5: label for vertex 0 repeats an earlier label in 'L 0 b'\n"
+
+
 def test_reduction_cap_checked_before_building(tmp_path, capsys, monkeypatch):
     import eocd.cli
 

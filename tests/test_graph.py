@@ -117,6 +117,17 @@ def test_parse_edge_list_rejects_a_repeated_edge(line_end_variants):
             assert str(info.value) == where, text
 
 
+def test_parse_edge_list_rejects_a_second_label(line_end_variants):
+    # like an edge, a vertex's label line appears once
+    message = "line 5: label for vertex 0 repeats an earlier label in 'L 0 b'"
+    for parse in (parse_edge_list, _reference_parse_edge_list):
+        for source in line_end_variants("3 2\n0 1\n1 2\nL 0 a\nL 0 b\n"):
+            with pytest.raises(GraphError) as info:
+                parse(source)
+            assert str(info.value) == message
+    assert parse_edge_list("3 2\n0 1\n1 2\nL 0 a\nL 1 a\n").labels == {0: "a", 1: "a"}
+
+
 def test_parse_edge_list_reads_no_line_after_a_refusal(lines_then_fail):
     with pytest.raises(GraphError, match="^line 2: edge"):
         parse_edge_list(lines_then_fail(["3 1\n", "0 3\n"]))
@@ -240,6 +251,8 @@ def _reference_parse_edge_list(source, max_vertices=None):
                 v = int(tok[1])
                 if not 0 <= v < n:
                     raise GraphError(f"label for unknown vertex {v}")
+                if v in labels:
+                    raise GraphError(f"label for vertex {v} repeats an earlier label")
                 labels[v] = tok[2]
             else:
                 if len(tok) != 2:

@@ -2,8 +2,7 @@
 
 import pytest
 
-from eocd.sierpinski import (
-    _vid,
+from eocd.families import (
     sierpinski,
     sierpinski_eod_set,
     sierpinski_gamma_t,
@@ -12,29 +11,39 @@ from eocd.sierpinski import (
 from eocd.solver import find_eocd, gamma_t, is_ecd_set, is_eod_set
 
 
-def _recursive_edges(p, n):
-    """Reference: p copies of S_p^(n-1), copy i joined to copy j by the
-    edge i j..j -- j i..i."""
-    if n == 0:
-        return set()
-    if n == 1:
-        return {(i, j) for i in range(p) for j in range(i + 1, p)}
-    size = p ** (n - 1)
-    prev = _recursive_edges(p, n - 1)
-    edges = {(i * size + u, i * size + v) for i in range(p) for u, v in prev}
-    for i in range(p):
-        for j in range(p):
-            if i != j:
-                a = _vid((i,) + (j,) * (n - 1), p)
-                b = _vid((j,) + (i,) * (n - 1), p)
-                edges.add((min(a, b), max(a, b)))
-    return edges
+def _words(p, n):
+    """Every length-n word over 0..p-1, most significant digit first, in
+    the order of its base-p value."""
+    words = [[]]
+    for _ in range(n):
+        words = [w + [d] for w in words for d in range(p)]
+    return words
 
 
-@pytest.mark.parametrize("p, n", [(1, 0), (1, 3), (2, 4), (3, 0), (3, 1), (3, 3), (4, 3),
-                                  (5, 2), (6, 2), (7, 2), (3, 5)])
+def _digit_rule(p, n):
+    """Reference rows and labels by the digit rule: u ~ v iff at some
+    position h the words agree before h, differ at h, and after h u is all
+    v[h] and v is all u[h]."""
+    words = _words(p, n)
+    index = {tuple(w): v for v, w in enumerate(words)}
+    rows = []
+    for u in words:
+        row = []
+        for h in range(n):
+            for j in range(p):
+                if j != u[h] and all(d == j for d in u[h + 1:]):
+                    row.append(index[tuple(u[:h] + [j] + [u[h]] * (n - 1 - h))])
+        rows.append(tuple(sorted(row)))
+    labels = {v: ("-" if p > 10 else "").join(map(str, w)) or "e" for v, w in enumerate(words)}
+    return tuple(rows), labels
+
+
+@pytest.mark.parametrize("p, n", [(1, 0), (1, 3), (1, 5), (2, 4), (2, 10), (3, 0), (3, 1),
+                                  (3, 3), (4, 3), (5, 2), (6, 2), (7, 2), (3, 5), (11, 2),
+                                  (12, 3)])
 def test_digit_rule_matches_recursive_definition(p, n):
-    assert set(sierpinski(p, n).edges()) == _recursive_edges(p, n)
+    g = sierpinski(p, n)
+    assert (g._adj, g.labels) == _digit_rule(p, n)
 
 
 def test_base_cases():
@@ -50,6 +59,9 @@ def test_labels_are_digit_strings():
     assert s.labels[0] == "00"
     assert s.labels[6] == "12"
     assert s.labels[15] == "33"
+    s = sierpinski(12, 2)           # digits past 9 need a separator
+    assert s.labels[13] == "1-1"
+    assert s.labels[143] == "11-11"
 
 
 def test_edge_counts():

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eocd.claims import graphs, rooted_trees
-from eocd.families import complete_bipartite, cycle, hypercube, path
+from eocd.families import complete_bipartite, cycle, hypercube, path, sierpinski
 from eocd.graph import Graph, GraphError
-from eocd.sierpinski import sierpinski
 from eocd.solver import (
     EocdCertificate,
     InvalidCertificateError,

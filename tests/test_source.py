@@ -3,8 +3,11 @@
 library."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 import eocd
 
@@ -40,3 +43,14 @@ def test_imports_are_the_standard_library_or_the_test_extra():
     found += [f"{path.name}: {name}" for path in TESTS
               for name in _imported(path) if name not in stdlib | {"pytest", "hypothesis"}]
     assert not found, found
+
+
+def test_package_names_do_not_shadow_modules():
+    # a package attribute named like a module hides it: `import eocd.x as m`
+    # binds eocd's attribute x, whatever it is
+    assert len(SOURCES) > 1
+    for name in (path.stem for path in SOURCES if path.stem != "__init__"):
+        assert getattr(eocd, name, None) in (None, sys.modules.get(f"eocd.{name}")), name
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("eocd.sierpinski")
+    assert eocd.sierpinski is eocd.families.sierpinski
