@@ -26,19 +26,19 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: Mapping[int, str] | None = None):
-        if n < 0:
-            raise GraphError(f"vertex count must be >= 0, got {n}")
+        if type(n) is not int or n < 0:   # vertex ids are ints; bools are refused
+            raise GraphError(f"vertex count must be an int >= 0, got {n!r}")
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n) or not (0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u!r}, {v!r}) has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise GraphError(f"self-loop ({u}, {v}) is not allowed")
             adj[u].add(v)
             adj[v].add(u)
         for v, name in (labels or {}).items():
-            if not (0 <= v < n):
-                raise GraphError(f"label for unknown vertex {v}")
+            if type(v) is not int or not (0 <= v < n):
+                raise GraphError(f"label for unknown vertex {v!r}")
             if not isinstance(name, str) or name.split() != [name] or "#" in name:
                 raise GraphError(f"label {name!r} of vertex {v} is not one token without '#'")
         self._fill(n, tuple(tuple(sorted(s)) for s in adj), labels)
@@ -240,11 +240,8 @@ def parse_edge_list(source: str | Iterable[str], max_vertices: int | None = None
     graph is read in bulk by `_parse_dump`, at 0.5-0.8 µs per edge line
     (Python 3.11 on a Xeon); it declines any other str, or one that fails
     a check, and the line reader runs.  The line reader reads every file
-    or iterable one line at a time, and reads nothing after a refused
-    line.  It costs 0.7-1.1 µs per `u v` line: one partition at the first
-    space, two int() calls and one set lookup.  int() takes one literal
-    with whitespace around it, so these are exactly the lines that split()
-    cuts into two integer tokens.  Other lines go through the tokenizer.
+    or iterable one line at a time, splits each line into tokens, and
+    reads nothing after a refused line.
     """
     if isinstance(source, str):
         g = _parse_dump(source, max_vertices)
@@ -253,40 +250,34 @@ def parse_edge_list(source: str | Iterable[str], max_vertices: int | None = None
     head = n = m = lineno = 0   # head: the header's line number, 0 until it is read
     labels = {}
     for lineno, raw in enumerate(text_lines(source), 1):
+        tok = raw.partition("#")[0].split()
+        if not tok:
+            continue
         try:
-            try:
-                if not head:
-                    raise ValueError   # the header goes through the tokenizer
-                a, _, b = raw.partition(" ")
-                u, v = int(a), int(b)
-            except ValueError:
-                tok = raw.partition("#")[0].split()
-                if not tok:
-                    continue
-                if not head:
-                    head = lineno
-                    if len(tok) != 2:
-                        raise GraphError("header must be 'n m'")
-                    n, m = int(tok[0]), int(tok[1])
-                    if n < 0 or m < 0:
-                        raise GraphError("header counts must be >= 0")
-                    if max_vertices is not None and n > max_vertices:
-                        raise GraphError(f"{n} vertices, above --max-vertices {max_vertices}")
-                    adj, seen = [[] for _ in range(n)], set()   # seen: min*n+max per edge
-                    continue
-                if tok[0] == "L":
-                    if len(tok) != 3:
-                        raise GraphError("a label line is 'L v name'")
-                    v = int(tok[1])
-                    if not 0 <= v < n:
-                        raise GraphError(f"label for unknown vertex {v}")
-                    if v in labels:
-                        raise GraphError(f"label for vertex {v} repeats an earlier label")
-                    labels[v] = tok[2]
-                    continue
+            if not head:
+                head = lineno
                 if len(tok) != 2:
-                    raise GraphError("an edge line is 'u v'")
-                u, v = int(tok[0]), int(tok[1])
+                    raise GraphError("header must be 'n m'")
+                n, m = int(tok[0]), int(tok[1])
+                if n < 0 or m < 0:
+                    raise GraphError("header counts must be >= 0")
+                if max_vertices is not None and n > max_vertices:
+                    raise GraphError(f"{n} vertices, above --max-vertices {max_vertices}")
+                adj, seen = [[] for _ in range(n)], set()   # seen: min*n+max per edge
+                continue
+            if tok[0] == "L":
+                if len(tok) != 3:
+                    raise GraphError("a label line is 'L v name'")
+                v = int(tok[1])
+                if not 0 <= v < n:
+                    raise GraphError(f"label for unknown vertex {v}")
+                if v in labels:
+                    raise GraphError(f"label for vertex {v} repeats an earlier label")
+                labels[v] = tok[2]
+                continue
+            if len(tok) != 2:
+                raise GraphError("an edge line is 'u v'")
+            u, v = int(tok[0]), int(tok[1])
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise GraphError(f"edge ({u}, {v}) is a self-loop or leaves 0..{n - 1}")
             key = u * n + v if u < v else v * n + u
@@ -296,8 +287,7 @@ def parse_edge_list(source: str | Iterable[str], max_vertices: int | None = None
             adj[u].append(v)
             adj[v].append(u)
         except ValueError as exc:   # GraphError, or int() on a non-integer
-            words = " ".join(raw.partition("#")[0].split())
-            raise GraphError(f"line {lineno}: {exc} in {words!r}") from None
+            raise GraphError(f"line {lineno}: {exc} in {' '.join(tok)!r}") from None
     if not head:
         raise GraphError(f"line {lineno + 1}: input ends before the header 'n m'")
     if len(seen) != m:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Graph, VertexSet, text_lines
-from .solver import EocdCertificate, InvalidCertificateError, is_ecd_set, is_eod_set
+from .solver import EocdCertificate
 
 # Gadget-internal vertex order; global id = 23 * variable_index + offset.
 GADGET_NAMES = (
@@ -191,9 +191,9 @@ def witness_from_assignment(f: CnfFormula, assignment) -> EocdCertificate:
 
 def assignment_from_witness(f: CnfFormula, g: Graph, d, p) -> tuple[bool, ...]:
     """Read the one-in-three model off an EOD/ECD witness pair: x_i is true
-    exactly when u_i is in D.  P is checked as input but not read, since
-    every EOD set holds exactly one of u_i, ub_i (claim 9 checks this on
-    every EOD set of its formulas):
+    exactly when u_i is in D.  `EocdCertificate.validate` checks D and P
+    as input; P is not read, since every EOD set holds exactly one of u_i,
+    ub_i (claim 9 checks this on every EOD set of its formulas):
 
     - t3 and t4 hang on q, so q is in D.
     - If t2 is in D, q's one D-neighbour is t2, so c1 is not.  Walking round
@@ -204,10 +204,7 @@ def assignment_from_witness(f: CnfFormula, g: Graph, d, p) -> tuple[bool, ...]:
       literals, so exactly one literal is true.
     """
     d = frozenset(d)
-    if not is_eod_set(g, d):
-        raise InvalidCertificateError("D is not an EOD set of the reduction graph")
-    if not is_ecd_set(g, p):
-        raise InvalidCertificateError("P is not an ECD set of the reduction graph")
+    EocdCertificate(g.n, d, frozenset(p)).validate(g)
     assignment = tuple(gadget_vertex(i, "u") in d for i in range(f.n_vars))
     if not is_one_in_three(f, assignment):
         raise RuntimeError(f"extracted assignment {assignment} is not one-in-three")

@@ -27,7 +27,6 @@ API speaks dense `Graph` values.
 
 from __future__ import annotations
 
-import heapq
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -556,15 +555,15 @@ def decompose(t: Graph, d, p) -> TreeOpSequence:
     root = None
     while len(adj) > 2:
         if root not in adj:
-            # A peel keeps the rest connected, so the depths and the heap of
-            # leaves stay valid until the root itself is peeled.
+            # A peel keeps the rest connected, so the depths and the order
+            # stay valid until the root itself is peeled.  The deepest vertex
+            # left is a leaf: its children would be deeper.
             root = min(adj)
             depth = _depths(adj, root)
-            leaves = [(-depth[x], x) for x in adj if len(adj[x]) == 1]
-            heapq.heapify(leaves)
-        while leaves[0][1] not in adj:
-            heapq.heappop(leaves)
-        v = leaves[0][1]
+            order, at = sorted(adj, key=lambda x: (-depth[x], x)), 0
+        while order[at] not in adj:
+            at += 1
+        v = order[at]
         for _ in range(len(adj) + 1):
             step = _inverse_step(adj, d, p, v, depth, root, plain)
             if isinstance(step, TreeOpStep):
@@ -572,14 +571,9 @@ def decompose(t: Graph, d, p) -> TreeOpSequence:
             v = step
         else:
             raise DecomposeError("redirect loop in case analysis")
-        touched = set()
         for x in step.new:
             for w in adj.pop(x):
                 adj[w].discard(x)
-                touched.add(w)
-        for w in touched:
-            if w in adj and len(adj[w]) == 1:
-                heapq.heappush(leaves, (-depth[w], w))
         d.difference_update(step.new)
         p.difference_update(step.new)
         p.symmetric_difference_update(step.attach[i] for i in OP_FLIPS.get(step.op, ()))

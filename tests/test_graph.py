@@ -30,6 +30,13 @@ def test_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(GraphError):
         Graph(3, [(1, 1)])
+    # ids are ints: a bool would be written as `True`, which the parser refuses
+    for bad, shown in ((True, "True"), (1.5, "1.5"), ("1", "'1'")):
+        with pytest.raises(GraphError, match=rf"^edge \(0, {shown}\) has an endpoint outside 0..2$"):
+            Graph(3, [(0, bad)])
+    for n in (2.0, True, -1):
+        with pytest.raises(GraphError, match=f"^vertex count must be an int >= 0, got {n!r}$"):
+            Graph(n, [])
 
 
 def test_connected_components_ordering():
@@ -75,6 +82,9 @@ def test_rejects_labels_the_edge_list_format_cannot_carry():
             Graph(2, [(0, 1)], labels={0: "a", 1: name})
     with pytest.raises(GraphError, match="^label for unknown vertex 2$"):
         Graph(2, [(0, 1)], labels={2: "a"})
+    for key in (True, 1.0, "1"):   # would be written as `L True a`, `L 1.0 a`, `L 1 a`
+        with pytest.raises(GraphError, match=f"^label for unknown vertex {key!r}$"):
+            Graph(2, [(0, 1)], labels={key: "a"})
     g = Graph(2, [(0, 1)], labels={0: "x_1", 1: "\u00e9-0"})
     assert parse_edge_list(dump_edge_list(g)).labels == {0: "x_1", 1: "\u00e9-0"}
 

@@ -127,6 +127,10 @@ def test_extraction_rejects_invalid_witness():
     g, _ = build_reduction(F1)
     with pytest.raises(InvalidCertificateError):
         assignment_from_witness(F1, g, frozenset({0}), frozenset({1}))
+    cert = witness_from_assignment(F1, (True, False, False))
+    with pytest.raises(InvalidCertificateError) as info:   # t2 is covered by q alone
+        assignment_from_witness(F1, g, cert.d - {gadget_vertex(0, "q")}, cert.p)
+    assert str(info.value) == f"D is not an EOD set: vertex {gadget_vertex(0, 't2')} is uncovered by D"
 
 
 def test_extraction_checks_p_although_it_reads_only_d():
