@@ -5,8 +5,9 @@ Sierpinski parity, tree operations, the satisfiability reduction, the
 extremal relations, the linear recognizer) against independent oracles
 and returns a ClaimResult.  ``run_all`` executes the lot; the CLI's
 ``report`` subcommand and the acceptance test suite both consume it.
-Claims 6 and 7 build their corpora here with the standard library alone:
-``graphs`` (every small graph up to isomorphism) and ``rooted_trees``.
+Claims 6, 7, 10 and 11 build their corpora here with the standard library
+alone: ``graphs`` (every small graph up to isomorphism), which claims 10
+and 11 read through ``_small_corpus``, and ``rooted_trees``.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from functools import cache
 from itertools import chain, combinations, permutations, product
 
 from .families import FAMILIES, complete_bipartite, cycle, hypercube, path
-from .families import (
-    sierpinski,
-    sierpinski_eod_set,
-    sierpinski_gamma_t,
-    sierpinski_is_eocd,
-)
+from .families import sierpinski, sierpinski_eod_set, sierpinski_gamma_t
 from .graph import Graph, is_tree
 from .reduction import (
     CnfFormula,
@@ -53,8 +49,8 @@ ORACLE_SEED = 20_260_826
 MAX_TREE_ORDER = 12        # claim 7 checks every tree up to this many vertices
 REDUCTION_RANDOM = 100     # random formulas claim 9 adds to the exhaustive ones
 REDUCTION_SEED = 31_337
-EXTREMAL_SEED = 1_010      # planted disjoint-certificate graphs of claim 10
-RECOGNIZER_SEED = 404      # random graphs of claim 11
+EXTREMAL_SEED = 1_010      # planted disjoint-certificate graphs of `_small_corpus`
+RECOGNIZER_SEED = 404      # random graphs of `_small_corpus`
 
 
 @dataclass(frozen=True)
@@ -82,11 +78,9 @@ def _result(number: int, name: str, started: float,
     return ClaimResult(number, name, True, detail_ok, elapsed)
 
 
-def _family_claim(number: int, name: str, family: str, instances, shown: str,
-                  detail_ok: str) -> ClaimResult:
+def _family_failures(family: str, instances, shown: str) -> list[str]:
     """The solver against the family's EOCD rule in `FAMILIES` on each
     parameter tuple; `shown` formats a tuple for the failure lines."""
-    started = time.perf_counter()
     fam = FAMILIES[family]
     failures = []
     for params in instances:
@@ -94,7 +88,13 @@ def _family_claim(number: int, name: str, family: str, instances, shown: str,
         want = fam.eocd(*params)
         if got != want:
             failures.append(f"{shown.format(*params)}: solver says {got}, rule says {want}")
-    return _result(number, name, started, failures, detail_ok)
+    return failures
+
+
+def _family_claim(number: int, name: str, family: str, instances, shown: str,
+                  detail_ok: str) -> ClaimResult:
+    started = time.perf_counter()
+    return _result(number, name, started, _family_failures(family, instances, shown), detail_ok)
 
 
 def check_paths() -> ClaimResult:
@@ -125,30 +125,26 @@ def check_hypercubes() -> ClaimResult:
 def check_sierpinski() -> ClaimResult:
     """Sierpinski parity rule, the explicit EOD sets, and gamma_t values."""
     started = time.perf_counter()
-    failures = []
-    for p, n in [(3, 2), (5, 2), (3, 3), (4, 2), (6, 2), (4, 3)]:
-        got = find_eocd(sierpinski(p, n)) is not None
-        want = sierpinski_is_eocd(p, n)
-        if got != want:
-            failures.append(f"S_{p}^{n}: solver says {got}, parity rule says {want}")
+    failures = _family_failures("sierpinski", [(3, 2), (5, 2), (3, 3), (4, 2), (6, 2), (4, 3)],
+                                "S_{}^{}")
+    # a valid EOD set is a minimum total dominating set, so |D| certifies
+    # gamma_t without running the exact search on up to 4,096 vertices
     for p, n in [(4, 2), (6, 2), (4, 3), (8, 2), (4, 6), (6, 4), (8, 4)]:
         d = sierpinski_eod_set(p, n)
         if not is_eod_set(sierpinski(p, n), d):
             failures.append(f"S_{p}^{n}: explicit set is not an EOD set")
-        if len(d) != p ** (n - 1):
-            failures.append(f"S_{p}^{n}: explicit EOD set has size {len(d)}")
+        if len(d) != sierpinski_gamma_t(p, n):
+            failures.append(f"S_{p}^{n}: explicit EOD set has size {len(d)}, "
+                            f"the gamma_t formula says {sierpinski_gamma_t(p, n)}")
     # exact total domination numbers at desk scale
     for p, n in [(4, 2), (6, 2)]:
         got = gamma_t(sierpinski(p, n))
         want = sierpinski_gamma_t(p, n)
         if got != want:
             failures.append(f"gamma_t(S_{p}^{n}) = {got}, expected {want}")
-    # S_4^3: a valid EOD set is a minimum total dominating set, so |D|
-    # certifies gamma_t without running the exact search on 64 vertices.
-    if len(sierpinski_eod_set(4, 3)) != sierpinski_gamma_t(4, 3):
-        failures.append("S_4^3: EOD set size disagrees with the gamma_t formula")
     return _result(5, "sierpinski", started, failures,
-                   "parity on 6 instances, 7 EOD sets verified up to S_8^4, gamma_t 4/6/16")
+                   "parity on 6 instances, 7 EOD sets verified up to S_8^4, "
+                   "all sized by the gamma_t formula; exact gamma_t 4/6")
 
 
 def open_masks(g: Graph) -> list[int]:
@@ -252,7 +248,7 @@ def graphs(n_max: int) -> tuple[Graph, ...]:
 
 def check_oracle_equivalence() -> ClaimResult:
     """find_ecd / find_eod agree with naive subset enumeration on all
-    graphs up to 7 vertices and a large non-isomorphic sample up to 8."""
+    graphs up to 7 vertices and a large non-isomorphic sample on 8."""
     started = time.perf_counter()
     failures = []
 
@@ -280,9 +276,8 @@ def check_oracle_equivalence() -> ClaimResult:
     attempts = 0
     while sampled < ORACLE_CORPUS and attempts < 40 * ORACLE_CORPUS:
         attempts += 1
-        n = 8 if attempts % 5 else 7
-        g = _random_graph(rng, n, rng.choice([0.15, 0.3, 0.45, 0.6, 0.75, 0.9]))
-        key = (g.n, tuple(sorted(_colours(g._adj, 3, table))))
+        g = _random_graph(rng, 8, rng.choice([0.15, 0.3, 0.45, 0.6, 0.75, 0.9]))
+        key = tuple(sorted(_colours(g._adj, 3, table)))
         if key in seen:
             continue
         seen.add(key)
@@ -292,7 +287,7 @@ def check_oracle_equivalence() -> ClaimResult:
         failures.append(f"only {sampled} of {ORACLE_CORPUS} distinct random graphs")
     return _result(6, "oracle equivalence", started, failures,
                    f"{exhaustive} exhaustive (<= 7 vertices) + "
-                   f"{sampled} distinct random (<= 8 vertices)")
+                   f"{sampled} distinct random graphs on 8 vertices")
 
 
 def check_trees() -> ClaimResult:
@@ -335,11 +330,11 @@ def check_trees() -> ClaimResult:
                    f"{pairs} certificate pairs, all round-tripped")
 
 
-def subdivided_k13(legs: tuple[int, int, int] = (5, 8, 8)) -> Graph:
-    """K_{1,3} with each edge subdivided by the given vertex counts."""
+def subdivided_k13() -> Graph:
+    """K_{1,3} with its edges subdivided by 5, 8 and 8 vertices."""
     edges = []
     nxt = 1
-    for subdiv in legs:
+    for subdiv in (5, 8, 8):
         prev = 0
         for _ in range(subdiv + 1):
             edges.append((prev, nxt))
@@ -452,17 +447,26 @@ def _planted_disjoint(rng: random.Random, k: int) -> Graph:
     return Graph(n, edges)
 
 
-def _extremal_corpus():
-    for s in range(12):
-        g, _, _, _ = random_eocd_tree(steps=6, seed=s)
-        yield f"random EOCD tree seed {s}", g
-    for n in range(2, 13):
+def _small_corpus():
+    """The (tag, graph) pairs of claims 10 and 11: every graph of `graphs(7)`,
+    then only what it cannot hold: P_n and C_n for 8 <= n <= 14, C_24,
+    K_{4,4}, Q_3, 60 seeded random graphs on 4..14 vertices, 27 random EOCD
+    trees and 24 planted disjoint certificates."""
+    for g in graphs(7):
+        yield f"graph on {g.n} vertices, edges {sorted(g.edges())}", g
+    for n in range(8, 15):
         yield f"P_{n}", path(n)
-    for n in (12, 24):
         yield f"C_{n}", cycle(n)
-    for t in range(1, 5):
-        yield f"K_{{1,{t}}}", complete_bipartite(1, t)
-    yield "Q_1", hypercube(1)
+    yield "C_24", cycle(24)
+    yield "K_{4,4}", complete_bipartite(4, 4)
+    yield "Q_3", hypercube(3)
+    rng = random.Random(RECOGNIZER_SEED)
+    for i in range(60):
+        n = rng.randint(4, 14)
+        yield f"random graph #{i}", _random_graph(rng, n, rng.uniform(0.15, 0.7))
+    for steps, seeds in ((6, 12), (4, 15)):
+        for s in range(seeds):
+            yield f"random EOCD tree, {steps} steps, seed {s}", random_eocd_tree(steps, s)[0]
     rng = random.Random(EXTREMAL_SEED)
     for i in range(24):
         k = i % 3 + 1
@@ -475,7 +479,7 @@ def check_extremal_relations() -> ClaimResult:
     started = time.perf_counter()
     failures = []
     hits_dp = hits_pd = 0
-    for tag, g in _extremal_corpus():
+    for tag, g in _small_corpus():
         cert = find_eocd(g, SearchMode.EMPTY_INTERSECTION)
         if cert is not None:
             hits_dp += 1
@@ -496,32 +500,10 @@ def check_extremal_relations() -> ClaimResult:
                    f"{hits_dp} disjoint and {hits_pd} nested witnesses checked")
 
 
-def star_forest(stars: int, leaves: int = 4) -> Graph:
-    edges = []
-    for s in range(stars):
-        center = s * (leaves + 1)
-        edges.extend((center, center + k) for k in range(1, leaves + 1))
-    return Graph(stars * (leaves + 1), edges)
-
-
-def _recognizer_corpus():
-    rng = random.Random(RECOGNIZER_SEED)
-    for n in range(2, 15):
-        yield f"P_{n}", path(n)
-    for n in range(3, 15):
-        yield f"C_{n}", cycle(n)
-    for r in range(1, 5):
-        for t in range(r, 5):
-            yield f"K_{{{r},{t}}}", complete_bipartite(r, t)
-    for n in (1, 2, 3):
-        yield f"Q_{n}", hypercube(n)
-    for i in range(60):
-        n = rng.randint(4, 14)
-        yield f"random graph #{i}", _random_graph(rng, n, rng.uniform(0.15, 0.7))
-    for s in range(15):
-        g, _, _, _ = random_eocd_tree(steps=4, seed=s)
-        if g.n <= 14:
-            yield f"random EOCD tree seed {s}", g
+def star_forest(stars: int) -> Graph:
+    """`stars` disjoint copies of K_{1,4}, each centre before its leaves."""
+    edges = [(5 * s, 5 * s + k) for s in range(stars) for k in range(1, 5)]
+    return Graph(5 * stars, edges)
 
 
 def check_recognizer() -> ClaimResult:
@@ -532,7 +514,7 @@ def check_recognizer() -> ClaimResult:
     started = time.perf_counter()
     failures = []
     count = 0
-    for tag, g in _recognizer_corpus():
+    for tag, g in _small_corpus():
         count += 1
         d, p = _nested_candidate(g)
         ecd, eod = is_ecd_set(g, p), is_eod_set(g, d)

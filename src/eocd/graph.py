@@ -92,7 +92,7 @@ def hit_counts(adj, members, closed: bool = False) -> list[int]:
     n = len(adj)
     hits = [0] * n
     for x in members:
-        if not (isinstance(x, int) and 0 <= x < n):
+        if not (type(x) is int and 0 <= x < n):   # bools are refused, as in Graph
             raise GraphError(f"vertex {x!r} is not in the graph")
         for w in adj[x]:
             hits[w] += 1
@@ -174,7 +174,7 @@ def contract_edges(g: Graph, matching: list[tuple[int, int]]) -> tuple[Graph, li
     adj = g._adj
     touched: set[int] = set()
     for u, v in matching:
-        if not (0 <= u < g.n and g.has_edge(u, v)):
+        if not (type(u) is int and type(v) is int and 0 <= u < g.n and g.has_edge(u, v)):
             raise GraphError(f"({u}, {v}) is not an edge")
         if u in touched or v in touched:
             raise GraphError(f"({u}, {v}) shares an endpoint with another matching edge")

@@ -502,8 +502,7 @@ def classify_partition(g: Graph, cert: EocdCertificate) -> StructureReport:
     P4.  A rule failing on the validated certificate is a fault in eocd.
     """
     cert.validate(g)
-    adj, d, p = g._adj, cert.d, cert.p
-    dp, d_only, p_only = d & p, d - p, p - d
+    adj, dp, d_only, p_only = g._adj, cert.dp, cert.d_only, cert.p_only
     n_dp, n_do, n_po = (hit_counts(adj, part) for part in (dp, d_only, p_only))
 
     def either_way(v):
@@ -518,7 +517,7 @@ def classify_partition(g: Graph, cert: EocdCertificate) -> StructureReport:
             ("p-only vertices: one D-P neighbor, no D&P neighbors", p_only,
              lambda v: n_do[v] == 1 and n_dp[v] == 0),
             (f"d-only vertices: {two_way}", d_only, either_way),
-            (f"R vertices: {two_way}", filterfalse((d | p).__contains__, range(g.n)), either_way)):
+            (f"R vertices: {two_way}", cert.r, either_way)):
         bad = min(filterfalse(ok, part), default=None)
         checks.append((name, bad is None, "" if bad is None else f"counterexample vertex {bad}"))
 

@@ -72,6 +72,10 @@ class TreeOpStep:
         if len(self.attach) != OP_ATTACH[self.op]:
             raise OpPreconditionError(
                 f"{self.op} references {OP_ATTACH[self.op]} vertices, got {len(self.attach)}")
+        for x in (*self.attach, *self.new):
+            if type(x) is not int:   # bools are refused, as in Graph
+                raise OpPreconditionError(f"{self.op}: vertex ids must be ints, got "
+                                          f"attach={self.attach!r} new={self.new!r}")
 
 
 @dataclass
@@ -279,10 +283,12 @@ def replay(seq: TreeOpSequence) -> tuple[Graph, VertexSet, VertexSet]:
     """Rebuild the labeled tree and certificate described by a sequence; a
     refused step is named by its 1-based index in `seq.steps`."""
     a, b = seq.base
-    adj = {a: {b}, b: {a}}
-    d, p = {a, b}, {seq.base_p}
+    if a == b:
+        raise OpPreconditionError(f"base vertices {a} and {b} must differ")
     if seq.base_p not in (a, b):
         raise OpPreconditionError(f"base P vertex {seq.base_p} is not a base vertex")
+    adj = {a: {b}, b: {a}}
+    d, p = {a, b}, {seq.base_p}
     for k, step in enumerate(seq.steps, 1):
         try:
             _apply_labeled(adj, d, p, step)

@@ -41,12 +41,14 @@ def test_claim_05_sierpinski(announce):
     result = announce(claims.check_sierpinski)
     assert result.seconds < 120
     assert "7 EOD sets verified up to S_8^4" in result.detail
+    assert "7 EOD sets verified up to S_8^4, all sized by the gamma_t formula" in result.detail
 
 
 def test_claim_06_oracle_equivalence(announce):
     result = announce(claims.check_oracle_equivalence)
     assert "1252 exhaustive" in result.detail
     assert "10000 distinct random" in result.detail
+    assert "10000 distinct random graphs on 8 vertices" in result.detail
 
 
 def test_claim_07_trees(announce):
@@ -69,7 +71,18 @@ def test_claim_09_reduction(announce):
 def test_claim_10_extremal_relations(announce):
     result = announce(claims.check_extremal_relations)
     assert int(result.detail.split(" disjoint")[0]) >= 20
+    assert result.detail == "97 disjoint and 73 nested witnesses checked"
 
 
 def test_claim_11_linear_recognizer(announce):
-    announce(claims.check_recognizer)
+    result = announce(claims.check_recognizer)
+    assert result.detail.startswith("1380 small graphs agree with the EOD x ECD enumeration; ")
+
+
+def test_small_corpus_starts_with_every_graph_on_at_most_7_vertices():
+    # claims 10 and 11 read every graph on at most 7 vertices, up to
+    # isomorphism, before the 128 larger or seeded instances
+    corpus = [g for _, g in claims._small_corpus()]
+    small = claims.graphs(7)
+    assert len(small) == 1252 and len(corpus) == 1380
+    assert all(g is h for g, h in zip(corpus, small))

@@ -64,6 +64,9 @@ def test_contract_rejects_non_matching():
     g = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(GraphError):
         contract_edges(g, [(0, 1), (1, 2)])
+    for edge in ((True, 2), (2, True), (False, 1)):   # bools are refused, as in Graph
+        with pytest.raises(GraphError, match="is not an edge$"):
+            contract_edges(g, [edge])
 
 
 def test_edge_list_format_round_trip():
@@ -199,6 +202,10 @@ def test_first_violation_rejects_ids_outside_the_graph():
                 first_violation(g._adj, {0, bad}, closed)
     with pytest.raises(GraphError, match="^vertex 'a' is not in the graph$"):
         first_violation(g._adj, {"a"}, closed=False)
+    for bad in (True, False):   # bools are refused as in Graph; {0, False} would be {0}
+        for closed in (False, True):
+            with pytest.raises(GraphError, match=f"^vertex {bad} is not in the graph$"):
+                first_violation(g._adj, {bad}, closed)
 
 
 @st.composite

@@ -36,6 +36,9 @@ def test_step_validation():
         TreeOpStep("O2", (0,), (2,))        # O2 adds three vertices
     with pytest.raises(ValueError):
         TreeOpStep("O1", (0, 1), (2,))      # O1 attaches at one vertex
+    for attach, new in (((False,), (2,)), ((0,), (True,)), ((0,), (2.0,))):
+        with pytest.raises(OpPreconditionError, match="^O1: vertex ids must be ints"):
+            TreeOpStep("O1", attach, new)         # bools are refused, as in Graph
 
 
 def test_o1_adds_plain_pendant():
@@ -74,6 +77,13 @@ def test_sequence_serialization_round_trip():
     g2, d2, p2 = replay(back)
     assert sorted(g1.edges()) == sorted(g2.edges())
     assert (d1, p1) == (d2, p2)
+
+
+def test_replay_refuses_a_base_k2_on_one_vertex():
+    # a sequence built in code is not parsed, so replay checks the base itself
+    with pytest.raises(OpPreconditionError, match="^base vertices 0 and 0 must differ$"):
+        replay(TreeOpSequence(base=(0, 0), base_p=0))
+    assert replay(TreeOpSequence(base=(1, 0), base_p=1))[2] == {1}
 
 
 def test_sequence_parse_rejects_garbage():
