@@ -1,10 +1,11 @@
 """The acceptance checks: every headline result, rechecked from scratch.
 
-Each ``check_*`` function reproduces one claim (family characterizations,
-Sierpinski parity, tree operations, the satisfiability reduction, the
-extremal relations, the linear recognizer) against independent oracles
-and returns a ClaimResult.  ``run_all`` executes the lot; the CLI's
-``report`` subcommand and the acceptance test suite both consume it.
+Each ``check_*`` reproduces one claim (family characterizations, Sierpinski
+parity, tree operations, the satisfiability reduction, the extremal
+relations, the linear recognizer) against independent oracles: a body under
+``@_claim(number, name)`` appends failure lines and returns its pass detail.
+``run_all`` executes the lot; the CLI's ``report`` subcommand and the
+acceptance test suite both consume its ClaimResults.
 Claims 6, 7, 10 and 11 build their corpora here with the standard library
 alone: ``graphs`` (every small graph up to isomorphism), which claims 10
 and 11 read through ``_small_corpus``, and ``rooted_trees``.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, wraps
 from itertools import chain, combinations, permutations, product
 
 from .families import FAMILIES, complete_bipartite, cycle, hypercube, path
@@ -51,6 +52,7 @@ REDUCTION_RANDOM = 100     # random formulas claim 9 adds to the exhaustive ones
 REDUCTION_SEED = 31_337
 EXTREMAL_SEED = 1_010      # planted disjoint-certificate graphs of `_small_corpus`
 RECOGNIZER_SEED = 404      # random graphs of `_small_corpus`
+ALL_CHECKS: list = []      # the checks in claim order, as `_claim` registers them
 
 
 @dataclass(frozen=True)
@@ -67,15 +69,27 @@ class ClaimResult:
         return f"[{self.number:2d}] {verdict}  {self.name}: {self.detail} ({self.seconds:.1f}s)"
 
 
-def _result(number: int, name: str, started: float,
-            failures: list[str], detail_ok: str) -> ClaimResult:
-    elapsed = time.perf_counter() - started
-    if failures:
-        shown = "; ".join(failures[:4])
-        if len(failures) > 4:
-            shown += f"; and {len(failures) - 4} more"
-        return ClaimResult(number, name, False, shown, elapsed)
-    return ClaimResult(number, name, True, detail_ok, elapsed)
+def _claim(number: int, name: str):
+    """Register the decorated body as claim `number`, the next one: the check
+    times it, hands it an empty failure list and reports the first four
+    failures and how many more, or else the pass detail the body returns."""
+    if number != len(ALL_CHECKS) + 1:
+        raise RuntimeError(f"claim {number} registered after claim {len(ALL_CHECKS)}")
+
+    def register(body):
+        @wraps(body)
+        def check() -> ClaimResult:
+            started = time.perf_counter()
+            failures: list[str] = []
+            detail = body(failures)
+            elapsed = time.perf_counter() - started
+            if len(failures) > 4:
+                failures[4:] = [f"and {len(failures) - 4} more"]
+            return ClaimResult(number, name, not failures,
+                               "; ".join(failures) if failures else detail, elapsed)
+        ALL_CHECKS.append(check)
+        return check
+    return register
 
 
 def _family_failures(family: str, instances, shown: str) -> list[str]:
@@ -91,42 +105,40 @@ def _family_failures(family: str, instances, shown: str) -> list[str]:
     return failures
 
 
-def _family_claim(number: int, name: str, family: str, instances, shown: str,
-                  detail_ok: str) -> ClaimResult:
-    started = time.perf_counter()
-    return _result(number, name, started, _family_failures(family, instances, shown), detail_ok)
-
-
-def check_paths() -> ClaimResult:
+@_claim(1, "paths")
+def check_paths(failures: list[str]) -> str:
     """P_n is an EOCD graph exactly when n is not 1 mod 4 (n in 2..30)."""
-    return _family_claim(1, "paths", "path", [(n,) for n in range(2, 31)], "P_{}",
-                         "n in 2..30 all match n % 4 != 1")
+    failures += _family_failures("path", [(n,) for n in range(2, 31)], "P_{}")
+    return "n in 2..30 all match n % 4 != 1"
 
 
-def check_cycles() -> ClaimResult:
+@_claim(2, "cycles")
+def check_cycles(failures: list[str]) -> str:
     """C_n is an EOCD graph exactly when 12 divides n (n in 3..36)."""
-    return _family_claim(2, "cycles", "cycle", [(n,) for n in range(3, 37)], "C_{}",
-                         "n in 3..36 all match n % 12 == 0")
+    failures += _family_failures("cycle", [(n,) for n in range(3, 37)], "C_{}")
+    return "n in 3..36 all match n % 12 == 0"
 
 
-def check_complete_bipartite() -> ClaimResult:
+@_claim(3, "complete bipartite")
+def check_complete_bipartite(failures: list[str]) -> str:
     """K_{r,t} is an EOCD graph exactly when one side is a single vertex."""
-    return _family_claim(3, "complete bipartite", "complete_bipartite",
-                         [(r, t) for r in range(1, 6) for t in range(r, 6)], "K_{{{},{}}}",
-                         "1 <= r <= t <= 5 all match r == 1")
+    failures += _family_failures("complete_bipartite",
+                                 [(r, t) for r in range(1, 6) for t in range(r, 6)], "K_{{{},{}}}")
+    return "1 <= r <= t <= 5 all match r == 1"
 
 
-def check_hypercubes() -> ClaimResult:
+@_claim(4, "hypercubes")
+def check_hypercubes(failures: list[str]) -> str:
     """Q_1 is an EOCD graph; Q_2, Q_3, Q_4 are not."""
-    return _family_claim(4, "hypercubes", "hypercube", [(n,) for n in range(1, 5)], "Q_{}",
-                         "Q_1 yes, Q_2..Q_4 no")
+    failures += _family_failures("hypercube", [(n,) for n in range(1, 5)], "Q_{}")
+    return "Q_1 yes, Q_2..Q_4 no"
 
 
-def check_sierpinski() -> ClaimResult:
+@_claim(5, "sierpinski")
+def check_sierpinski(failures: list[str]) -> str:
     """Sierpinski parity rule, the explicit EOD sets, and gamma_t values."""
-    started = time.perf_counter()
-    failures = _family_failures("sierpinski", [(3, 2), (5, 2), (3, 3), (4, 2), (6, 2), (4, 3)],
-                                "S_{}^{}")
+    failures += _family_failures("sierpinski", [(3, 2), (5, 2), (3, 3), (4, 2), (6, 2), (4, 3)],
+                                 "S_{}^{}")
     # a valid EOD set is a minimum total dominating set, so |D| certifies
     # gamma_t without running the exact search on up to 4,096 vertices
     for p, n in [(4, 2), (6, 2), (4, 3), (8, 2), (4, 6), (6, 4), (8, 4)]:
@@ -142,9 +154,8 @@ def check_sierpinski() -> ClaimResult:
         want = sierpinski_gamma_t(p, n)
         if got != want:
             failures.append(f"gamma_t(S_{p}^{n}) = {got}, expected {want}")
-    return _result(5, "sierpinski", started, failures,
-                   "parity on 6 instances, 7 EOD sets verified up to S_8^4, "
-                   "all sized by the gamma_t formula; exact gamma_t 4/6")
+    return ("parity on 6 instances, 7 EOD sets verified up to S_8^4, "
+            "all sized by the gamma_t formula; exact gamma_t 4/6")
 
 
 def open_masks(g: Graph) -> list[int]:
@@ -246,11 +257,10 @@ def graphs(n_max: int) -> tuple[Graph, ...]:
     return tuple(out)
 
 
-def check_oracle_equivalence() -> ClaimResult:
+@_claim(6, "oracle equivalence")
+def check_oracle_equivalence(failures: list[str]) -> str:
     """find_ecd / find_eod agree with naive subset enumeration on all
     graphs up to 7 vertices and a large non-isomorphic sample on 8."""
-    started = time.perf_counter()
-    failures = []
 
     def check(g: Graph, tag: str) -> None:
         ecd = find_ecd(g)
@@ -285,19 +295,17 @@ def check_oracle_equivalence() -> ClaimResult:
         check(g, f"random graph #{sampled} (seed {ORACLE_SEED})")
     if sampled < ORACLE_CORPUS:
         failures.append(f"only {sampled} of {ORACLE_CORPUS} distinct random graphs")
-    return _result(6, "oracle equivalence", started, failures,
-                   f"{exhaustive} exhaustive (<= 7 vertices) + "
-                   f"{sampled} distinct random graphs on 8 vertices")
+    return (f"{exhaustive} exhaustive (<= 7 vertices) + "
+            f"{sampled} distinct random graphs on 8 vertices")
 
 
-def check_trees() -> ClaimResult:
+@_claim(7, "trees")
+def check_trees(failures: list[str]) -> str:
     """is_eocd_tree matches the exact solver on every rooted tree up to 12
     vertices (each free tree from each root up to symmetry), and every
     (EOD, ECD) pair of each EOCD tree decomposes into a sequence that replays
     to the same labeled tree, D and P.  The tree calculus does not re-check
     the certificate after a step or a peel; this round trip does."""
-    started = time.perf_counter()
-    failures = []
     total = eocd_count = pairs = 0
     for t in chain.from_iterable(map(rooted_trees, range(1, MAX_TREE_ORDER + 1))):
         total += 1
@@ -325,9 +333,8 @@ def check_trees() -> ClaimResult:
             if (replayed[0]._adj, *replayed[1:]) != (t._adj, d, p):
                 failures.append(f"{tag} D={sorted(d)} P={sorted(p)}: "
                                 "replay rebuilt a different tree or certificate")
-    return _result(7, "trees", started, failures,
-                   f"{total} trees <= {MAX_TREE_ORDER} vertices, {eocd_count} EOCD, "
-                   f"{pairs} certificate pairs, all round-tripped")
+    return (f"{total} trees <= {MAX_TREE_ORDER} vertices, {eocd_count} EOCD, "
+            f"{pairs} certificate pairs, all round-tripped")
 
 
 def subdivided_k13() -> Graph:
@@ -350,10 +357,9 @@ def p22_plus() -> Graph:
     return Graph(26, edges)
 
 
-def check_necessity_witnesses() -> ClaimResult:
+@_claim(8, "necessity witnesses")
+def check_necessity_witnesses(failures: list[str]) -> str:
     """Two trees whose decompositions force an O3 and an O5 step."""
-    started = time.perf_counter()
-    failures = []
     for builder, needed in [(subdivided_k13, "O3"), (p22_plus, "O5")]:
         t = builder()
         res = is_eocd_tree(t)
@@ -367,8 +373,7 @@ def check_necessity_witnesses() -> ClaimResult:
         t2, _, _ = replay(seq)
         if sorted(t2.edges()) != sorted(t.edges()):
             failures.append(f"{builder.__name__}: replay mismatch")
-    return _result(8, "necessity witnesses", started, failures,
-                   "subdivided K_{1,3} uses O3; extended P_22 uses O5")
+    return "subdivided K_{1,3} uses O3; extended P_22 uses O5"
 
 
 def _exhaustive_formulas():
@@ -390,11 +395,10 @@ def _random_formula(rng: random.Random) -> CnfFormula:
     return CnfFormula(n_vars, tuple(clauses))
 
 
-def check_reduction() -> ClaimResult:
+@_claim(9, "reduction")
+def check_reduction(failures: list[str]) -> str:
     """The reduction graph is EOCD exactly when the formula has a
     one-in-three model, and witnesses translate both ways."""
-    started = time.perf_counter()
-    failures = []
     rng = random.Random(REDUCTION_SEED)
     formulas = list(_exhaustive_formulas())
     formulas += [_random_formula(rng) for _ in range(REDUCTION_RANDOM)]
@@ -429,9 +433,8 @@ def check_reduction() -> ClaimResult:
         extracted = assignment_from_witness(f, g, cert.d, cert.p)
         if extracted not in models:
             failures.append(f"{tag}: extracted assignment is not a model")
-    return _result(9, "reduction", started, failures,
-                   f"{len(formulas)} formulas, equivalence and round trips hold; "
-                   f"{eod_sets} EOD sets read as models")
+    return (f"{len(formulas)} formulas, equivalence and round trips hold; "
+            f"{eod_sets} EOD sets read as models")
 
 
 def _planted_disjoint(rng: random.Random, k: int) -> Graph:
@@ -473,11 +476,10 @@ def _small_corpus():
         yield f"planted {k} x P_4 #{i} (seed {EXTREMAL_SEED})", _planted_disjoint(rng, k)
 
 
-def check_extremal_relations() -> ClaimResult:
+@_claim(10, "extremal relations")
+def check_extremal_relations(failures: list[str]) -> str:
     """Disjoint certificates force gamma_t = gamma; nested ones (P inside
     D) force gamma_t = 2 gamma."""
-    started = time.perf_counter()
-    failures = []
     hits_dp = hits_pd = 0
     for tag, g in _small_corpus():
         cert = find_eocd(g, SearchMode.EMPTY_INTERSECTION)
@@ -496,8 +498,7 @@ def check_extremal_relations() -> ClaimResult:
                 failures.append(f"{tag}: nested witness but gamma_t != 2 gamma")
     if hits_dp == 0 or hits_pd == 0:
         failures.append(f"vacuous run: {hits_dp} disjoint and {hits_pd} nested hits")
-    return _result(10, "extremal relations", started, failures,
-                   f"{hits_dp} disjoint and {hits_pd} nested witnesses checked")
+    return f"{hits_dp} disjoint and {hits_pd} nested witnesses checked"
 
 
 def star_forest(stars: int) -> Graph:
@@ -506,13 +507,12 @@ def star_forest(stars: int) -> Graph:
     return Graph(5 * stars, edges)
 
 
-def check_recognizer() -> ClaimResult:
+@_claim(11, "linear recognizer")
+def check_recognizer(failures: list[str]) -> str:
     """recognize_empty_pd accepts exactly the small graphs with an EOD set
     D and an ECD set P, both from the exact-cover enumerations, such that
     P is inside D; its candidate pair has P an ECD set exactly when D is
     an EOD set; and it stays under a second on a 10^4-vertex star forest."""
-    started = time.perf_counter()
-    failures = []
     count = 0
     for tag, g in _small_corpus():
         count += 1
@@ -543,24 +543,8 @@ def check_recognizer() -> ClaimResult:
         failures.append(f"star forest certificate has |P| = {len(cert.p)}")
     if big_elapsed >= 1.0:
         failures.append(f"star forest took {big_elapsed:.2f}s (budget 1s)")
-    return _result(11, "linear recognizer", started, failures,
-                   f"{count} small graphs agree with the EOD x ECD enumeration; "
-                   f"10^4-vertex star forest in {big_elapsed * 1000:.0f}ms")
-
-
-ALL_CHECKS = (
-    check_paths,
-    check_cycles,
-    check_complete_bipartite,
-    check_hypercubes,
-    check_sierpinski,
-    check_oracle_equivalence,
-    check_trees,
-    check_necessity_witnesses,
-    check_reduction,
-    check_extremal_relations,
-    check_recognizer,
-)
+    return (f"{count} small graphs agree with the EOD x ECD enumeration; "
+            f"10^4-vertex star forest in {big_elapsed * 1000:.0f}ms")
 
 
 def run_all(report=None) -> list[ClaimResult]:

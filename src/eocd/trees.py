@@ -283,6 +283,9 @@ def replay(seq: TreeOpSequence) -> tuple[Graph, VertexSet, VertexSet]:
     """Rebuild the labeled tree and certificate described by a sequence; a
     refused step is named by its 1-based index in `seq.steps`."""
     a, b = seq.base
+    if not (type(a) is int and type(b) is int and type(seq.base_p) is int):
+        raise OpPreconditionError(f"base vertices must be ints, got base={seq.base!r}, "
+                                  f"base_p={seq.base_p!r}")
     if a == b:
         raise OpPreconditionError(f"base vertices {a} and {b} must differ")
     if seq.base_p not in (a, b):

@@ -2,7 +2,8 @@
 
 The heavy lifting lives in eocd.claims so the CLI `report` subcommand
 runs the identical checks.  Each test prints its verdict line with
-capture disabled so the line shows up in the live pytest output.
+capture disabled so the line shows up in the live pytest output.  The
+first tests check the claim registry itself and run no claim.
 """
 
 import pytest
@@ -19,6 +20,32 @@ def announce(capfd):
         assert result.ok, result.detail
         return result
     return _run
+
+
+def test_all_checks_lists_the_eleven_claims_in_file_order():
+    in_file = [name for name in vars(claims) if name.startswith("check_")]
+    assert len(in_file) == 11
+    assert claims.ALL_CHECKS == [getattr(claims, name) for name in in_file]
+
+
+def test_a_claim_number_out_of_turn_is_refused():
+    with pytest.raises(RuntimeError, match="^claim 13 registered after claim 11$"):
+        claims._claim(13, "x")
+    assert len(claims.ALL_CHECKS) == 11
+
+
+def test_a_failing_claim_shows_its_first_four_failures_and_counts_the_rest():
+    def body(failures):
+        failures += [f"f{i}" for i in range(6)]
+        return "the pass detail, not shown"
+
+    try:
+        result = claims._claim(12, "six failures")(body)()
+    finally:
+        del claims.ALL_CHECKS[11:]
+    assert (result.number, result.name, result.ok) == (12, "six failures", False)
+    assert result.detail == "f0; f1; f2; f3; and 2 more"
+    assert len(claims.ALL_CHECKS) == 11
 
 
 def test_claim_01_paths(announce):

@@ -207,6 +207,14 @@ def test_reduce_solve_extract(tmp_path, capsys):
                    "in 'p cnf 5 2'\n")
 
 
+def test_reduce_writes_the_reduction_graph(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 4 2\n1 2 3 0\n-1 2 4 0\n")
+    code, graph_text, _ = run(capsys, "reduce", str(cnf))
+    assert code == 0
+    assert run(capsys, "generate", "reduction", str(cnf)) == (0, graph_text, "")
+
+
 def test_max_vertices_guard(tmp_path, capsys):
     out = tmp_path / "q4.g"
     run(capsys, "generate", "hypercube", "4", "-o", str(out))
@@ -332,6 +340,11 @@ def test_usage_errors(tmp_path, capsys):
     code, text, err = run(capsys, "verify", str(bad), "--d", "-1,2", "--p", "0")
     assert code == 2 and text == ""
     assert err == "error: eocd verify: argument --d: expected one argument\n"
+    code, text, err = run(capsys, "generate", "path", "x")
+    assert code == 2 and text == ""
+    assert err == "error: path parameters must be integers, got ['x']\n"
+    code, text, _ = run(capsys, "--help")
+    assert code == 0 and "usage: eocd" in text
 
 
 class _ClosedPipe(io.StringIO):

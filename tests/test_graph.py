@@ -92,6 +92,12 @@ def test_rejects_labels_the_edge_list_format_cannot_carry():
     assert parse_edge_list(dump_edge_list(g)).labels == {0: "x_1", 1: "\u00e9-0"}
 
 
+def test_label_line_needs_a_name():
+    with pytest.raises(GraphError) as info:
+        parse_edge_list("2 0\nL 0\n")
+    assert str(info.value) == "line 2: a label line is 'L v name' in 'L 0'"
+
+
 def test_parse_edge_list_comments_and_errors():
     g = parse_edge_list("# a triangle\n3 3\n0 1\n1 2\n0 2\n")
     assert g.m == 3

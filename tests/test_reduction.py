@@ -121,6 +121,18 @@ def test_witness_round_trip():
 def test_witness_rejects_bad_assignment():
     with pytest.raises(FormulaError):
         witness_from_assignment(F1, (True, True, False))
+    with pytest.raises(FormulaError) as info:
+        witness_from_assignment(F1, (True,))
+    assert str(info.value) == "assignment covers 1 of 3 variables"
+
+
+def test_formula_guards_name_the_offending_value():
+    with pytest.raises(FormulaError) as info:
+        CnfFormula(3, (((0, 1), (1, True), (2, True)),))
+    assert str(info.value) == "polarity must be bool, got 1"
+    with pytest.raises(FormulaError) as info:
+        brute_force_one_in_three(CnfFormula(25, ()))
+    assert str(info.value) == "25 variables exceed the enumeration guard 24"
 
 
 def test_extraction_rejects_invalid_witness():

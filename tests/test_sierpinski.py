@@ -110,6 +110,19 @@ def test_parity_criterion_domain():
         sierpinski_is_eocd(4, 1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: sierpinski(0, 2), "base p must be >= 1, got 0"),
+    (lambda: sierpinski(3, -1), "exponent n must be >= 0, got -1"),
+    (lambda: sierpinski_eod_set(3, 2), "explicit EOD set needs even p >= 4, got 3"),
+    (lambda: sierpinski_eod_set(4, 1), "explicit EOD set needs n >= 2, got 1"),
+    (lambda: sierpinski_gamma_t(3, 2), "formula applies for even p >= 4 and n >= 2, got p=3, n=2"),
+])
+def test_out_of_domain_parameters_are_refused_by_name(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_gamma_t_formula():
     assert sierpinski_gamma_t(4, 2) == 4
     assert sierpinski_gamma_t(6, 2) == 6

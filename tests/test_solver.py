@@ -94,6 +94,9 @@ def test_certificate_partition_and_validation():
     assert cert.r == frozenset(range(12)) - cert.d - cert.p
     with pytest.raises(InvalidCertificateError):
         EocdCertificate(12, cert.d, frozenset({0, 1})).validate(g)
+    with pytest.raises(InvalidCertificateError) as info:
+        EocdCertificate(3, frozenset({1}), frozenset({1})).validate(path(4))
+    assert str(info.value) == "certificate is for n=3, graph has n=4"
 
 
 def _reference_to_record(cert):

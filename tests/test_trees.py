@@ -86,6 +86,26 @@ def test_replay_refuses_a_base_k2_on_one_vertex():
     assert replay(TreeOpSequence(base=(1, 0), base_p=1))[2] == {1}
 
 
+def test_replay_refuses_a_base_that_is_not_ints():
+    # bools and floats compare equal to 0 and 1, so only a type check sees them
+    for base, base_p in (((False, True), False), ((0, 1), True), ((0, 1.0), 0)):
+        with pytest.raises(OpPreconditionError) as info:
+            replay(TreeOpSequence(base=base, base_p=base_p))
+        assert str(info.value) == f"base vertices must be ints, got base={base!r}, base_p={base_p!r}"
+    with pytest.raises(OpPreconditionError) as info:
+        replay(TreeOpSequence(base=(0, 1), base_p=5))
+    assert str(info.value) == "base P vertex 5 is not a base vertex"
+
+
+def test_error_messages_of_sequence_parse_and_random_growth():
+    with pytest.raises(OpPreconditionError) as info:
+        TreeOpSequence.parse("K2 v=0 p=0\n")
+    assert str(info.value) == "line 1: v= expects 2 vertex id(s), got 1 in 'K2 v=0 p=0'"
+    with pytest.raises(ValueError) as info:
+        random_eocd_tree(-1, 0)
+    assert str(info.value) == "steps must be >= 0"
+
+
 def test_sequence_parse_rejects_garbage():
     with pytest.raises(ValueError):
         TreeOpSequence.parse("O7 attach=0 new=2\n")
